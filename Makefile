@@ -1,7 +1,7 @@
 GO ?= go
 AGGVET := bin/aggvet
 
-.PHONY: build test vet lint lint-fixtures race chaos check bench bench-json fuzz cover
+.PHONY: build test vet lint lint-fixtures race chaos check bench bench-json fuzz cover perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,17 @@ fuzz:
 # Statement-coverage ratchet against scripts/coverage-floor.txt.
 cover:
 	GO="$(GO)" sh scripts/coverage.sh
+
+# The benchmark module's own tests (perfbench/ is a separate Go module,
+# so the root ./... never reaches them), then a short run of every
+# workload: perfbench exits non-zero on any oracle mismatch.
+PERFBENCH_WORKLOADS := live-lowcard live-highcard dist-loopback sql-q1
+
+perfbench-smoke:
+	cd perfbench && $(GO) test -race ./...
+	for w in $(PERFBENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 # What CI runs (CI additionally shuffles test order and runs
 # staticcheck/govulncheck, which need network access to install).

@@ -21,15 +21,20 @@
 //     engine's default); a positive bound gives the paper's hard memory
 //     budget M with the exact hashtab.Table refusal contract.
 //
-// Determinism contract: Partials, Drain and EvictBuckets return entries in
-// ascending key order regardless of insertion order or probe history, so
-// everything downstream of a drain (wire frames, simulator events,
-// results) is byte-identical across same-seed runs. Slot order itself is
-// never exposed.
+// Determinism contract: slot order is a function of hash values and
+// insertion history, so it is only ever exposed through AppendDrain,
+// whose callers must not let it reach anything observable. Partials,
+// Drain and EvictBuckets sort by key, so everything downstream of them
+// (wire frames, simulator events, aggsim -dump) is byte-identical across
+// same-seed runs. The simulator and the dist layer drain through the
+// sorted calls. The live engine drains through AppendDrain: its result
+// is a map, and a merge folds partials in any order to the same state
+// because AggState folds are commutative and associative.
 package aggtable
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parallelagg/internal/tuple"
 )
@@ -37,8 +42,9 @@ import (
 const (
 	// ctrlEmpty marks a free slot. Live slots hold the hash's top 7 bits
 	// (h2), which always have the high bit clear, so the two can never
-	// collide. There are no tombstones: entries leave only via Drain or
-	// EvictBuckets, both of which rebuild the slot array.
+	// collide. There are no tombstones: entries leave only via Drain,
+	// AppendDrain, Reset or EvictBuckets, which all rebuild or clear the
+	// whole slot array.
 	ctrlEmpty = 0x80
 
 	// minSlots is the initial slot-array size (power of two). Small enough
@@ -254,21 +260,27 @@ func (t *Table) MergePartial(p tuple.Partial) bool {
 // Partials returns the table contents as partial tuples in ascending key
 // order (deterministic), without modifying the table.
 func (t *Table) Partials() []tuple.Partial {
-	out := make([]tuple.Partial, 0, t.used)
+	return sortPartials(t.appendEntries(make([]tuple.Partial, 0, t.used)))
+}
+
+// sortPartials orders partials by ascending key, the deterministic output
+// order every sorted drain promises, and returns them. Keys are unique
+// within one table, so the order is total.
+func sortPartials(ps []tuple.Partial) []tuple.Partial {
+	slices.SortFunc(ps, func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
+	return ps
+}
+
+// appendEntries is the table's one slot walk: it appends every entry to
+// out in slot order and leaves the table unchanged.
+func (t *Table) appendEntries(out []tuple.Partial) []tuple.Partial {
 	for i, c := range t.ctrl {
 		if c == ctrlEmpty {
 			continue
 		}
 		out = append(out, tuple.Partial{Key: t.keys[i], State: t.states[i]})
 	}
-	sortPartials(out)
 	return out
-}
-
-// sortPartials orders partials by ascending key, the deterministic output
-// order every drain-like operation promises.
-func sortPartials(ps []tuple.Partial) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Key < ps[j].Key })
 }
 
 // Drain returns the table contents like Partials and empties the table,
@@ -276,7 +288,27 @@ func sortPartials(ps []tuple.Partial) {
 // as cheap to hold as a fresh one.
 func (t *Table) Drain() []tuple.Partial {
 	out := t.Partials()
-	t.init(minSlots)
+	t.shrink()
+	return out
+}
+
+// shrink empties the table into a fresh minimal slot array.
+func (t *Table) shrink() { t.init(minSlots) }
+
+// AppendDrain appends the table contents to out in slot order and empties
+// the table with Reset. Slot order depends on hash values and insertion
+// history, so it suits only callers whose consumers ignore order. The
+// table keeps its slot arrays, and out grows at most once, to Len() more
+// entries: a worker that drains into a retained buffer and refills the
+// table to a similar size allocates nothing and never regrows.
+//
+//aggvet:noalloc
+func (t *Table) AppendDrain(out []tuple.Partial) []tuple.Partial {
+	if cap(out)-len(out) < t.used {
+		out = slices.Grow(out, t.used) //aggvet:allow noalloc -- grow branch: the caller's buffer grows to the largest drain it has seen, then is reused
+	}
+	out = t.appendEntries(out)
+	t.Reset()
 	return out
 }
 
@@ -314,7 +346,7 @@ func (t *Table) EvictBuckets(nbuckets int) [][]tuple.Partial {
 		}
 	}
 	for b := 1; b < nbuckets; b++ {
-		sort.Slice(out[b], func(i, j int) bool { return out[b][i].Key < out[b][j].Key })
+		sortPartials(out[b])
 	}
 	t.init(slotsFor(len(keep)))
 	for _, pt := range keep {

@@ -293,3 +293,68 @@ func TestAllocsPinInsertWithinCapacity(t *testing.T) {
 		t.Errorf("pre-sized insert allocates %.1f per op, want 0", allocs)
 	}
 }
+
+// TestAppendDrainKeepsSlots: the unordered drain returns the same
+// multiset as Partials after the caller's prefix, leaves the table empty
+// at its grown size, and a refill of the same input drains to the same
+// result.
+func TestAppendDrainKeepsSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in := make([]tuple.Tuple, 20_000)
+	for i := range in {
+		in[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(5_000)), Val: int64(rng.Intn(201) - 100)}
+	}
+	for _, bound := range []int{0, 3_000} {
+		tab := New(bound)
+		fill := func() {
+			for _, tp := range in {
+				tab.UpdateRaw(tp)
+			}
+		}
+		fill()
+		want := tab.Partials()
+		slots := tab.Slots()
+		if slots == minSlots {
+			t.Fatalf("bound %d: table never grew", bound)
+		}
+		prefix := tuple.Partial{Key: 1 << 40, State: tuple.NewState(42)}
+		got := tab.AppendDrain([]tuple.Partial{prefix})
+		if got[0] != prefix {
+			t.Fatalf("bound %d: AppendDrain overwrote the caller's prefix: %+v", bound, got[0])
+		}
+		samePartials(t, "AppendDrain", sortedDrain(got[1:]), want)
+		if tab.Len() != 0 || tab.Slots() != slots {
+			t.Errorf("bound %d: after AppendDrain Len=%d Slots=%d, want 0/%d", bound, tab.Len(), tab.Slots(), slots)
+		}
+		fill()
+		samePartials(t, "refill", sortedDrain(tab.AppendDrain(got[:0])), want)
+		if tab.Slots() != slots {
+			t.Errorf("bound %d: refill regrew the table from %d to %d slots", bound, slots, tab.Slots())
+		}
+	}
+}
+
+// TestAllocsPinDrainRefill pins the live scan side's cycle: fold a batch,
+// drain into a retained buffer, fold again. Once the slot arrays, the
+// hash scratch and the buffer have reached the table's size, the cycle
+// allocates nothing.
+func TestAllocsPinDrainRefill(t *testing.T) {
+	tab := New(0)
+	b := tuple.NewBatch(4096)
+	for i := 0; i < 4096; i++ {
+		b.Append(tuple.Key(i*7919), 1)
+	}
+	refused := make([]int, 0, 4096)
+	refused = tab.UpdateBatch(b, refused[:0])
+	buf := tab.AppendDrain(nil) // warm table, hash scratch and buffer
+	allocs := testing.AllocsPerRun(200, func() {
+		refused = tab.UpdateBatch(b, refused[:0])
+		buf = tab.AppendDrain(buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("drain-into-retained-buffer + refill allocates %.1f per op, want 0", allocs)
+	}
+	if len(buf) != 4096 {
+		t.Errorf("drained %d partials, want 4096", len(buf))
+	}
+}

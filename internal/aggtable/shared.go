@@ -38,15 +38,17 @@
 //
 // Determinism contract for the concurrent drain: Drain and Partials
 // return entries in strictly ascending key order, like the sequential
-// Table. Under quiescence the result is a pure function of the folded
-// multiset (fold order never matters because AggState.Update/Merge are
-// commutative and associative); while writers are active the snapshot
-// boundary is per-stripe, and the union of all drain outputs still
-// aggregates to exactly the folded multiset — the invariant the torture
-// harness checks.
+// Table; AppendDrain returns them in stripe-then-slot order, for callers
+// that ignore order (the live engine's coordinator). Under quiescence the
+// sorted result is a pure function of the folded multiset (fold order
+// never matters because AggState.Update/Merge are commutative and
+// associative); while writers are active the snapshot boundary is
+// per-stripe, and the union of all drain outputs still aggregates to
+// exactly the folded multiset — the invariant the torture harness checks.
 package aggtable
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -279,7 +281,7 @@ func (s *Shared) Get(k tuple.Key) (tuple.AggState, bool) {
 // per-stripe: each stripe's contribution is atomic, and a quiescent
 // snapshot equals the sequential Table's Partials byte for byte.
 func (s *Shared) Partials() []tuple.Partial {
-	return s.collect(false)
+	return sortPartials(s.collect(nil, nil))
 }
 
 // Drain returns the table contents like Partials and empties the table,
@@ -287,33 +289,32 @@ func (s *Shared) Partials() []tuple.Partial {
 // land either in the returned snapshot or in the emptied table, never in
 // both and never in neither.
 func (s *Shared) Drain() []tuple.Partial {
-	return s.collect(true)
+	return sortPartials(s.collect(nil, (*Table).shrink))
 }
 
-// collect gathers every stripe's entries, optionally draining them, and
-// sorts the union into the deterministic ascending-key order. Stripes
-// are locked one at a time — a global lock sweep would serialize writers
-// for the whole walk and buys nothing: per-key atomicity already follows
-// from the per-stripe lock.
-func (s *Shared) collect(drain bool) []tuple.Partial {
-	out := make([]tuple.Partial, 0, s.used.Load())
+// AppendDrain is Drain without the sort and without the shrink: it
+// appends the contents to out in stripe-then-slot order and Resets each
+// stripe, keeping its slot array. The snapshot boundary is Drain's.
+func (s *Shared) AppendDrain(out []tuple.Partial) []tuple.Partial {
+	return s.collect(out, (*Table).Reset)
+}
+
+// collect appends every stripe's entries to out and, when empty is not
+// nil, empties each stripe with it. Stripes are locked one at a time — a
+// global lock sweep would serialize writers for the whole walk and buys
+// nothing: per-key atomicity already follows from the per-stripe lock.
+func (s *Shared) collect(out []tuple.Partial, empty func(*Table)) []tuple.Partial {
+	out = slices.Grow(out, int(s.used.Load()))
 	for i := range s.stripes {
 		st := &s.stripes[i].stripe
 		st.mu.Lock()
-		n := st.t.used
-		for j, c := range st.t.ctrl {
-			if c == ctrlEmpty {
-				continue
-			}
-			out = append(out, tuple.Partial{Key: st.t.keys[j], State: st.t.states[j]})
-		}
-		if drain {
-			st.t.init(minSlots)
-			s.used.Add(int64(-n))
+		out = st.t.appendEntries(out)
+		if empty != nil {
+			s.used.Add(int64(-st.t.used))
+			empty(&st.t)
 		}
 		st.mu.Unlock()
 	}
-	sortPartials(out)
 	return out
 }
 

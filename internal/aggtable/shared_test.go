@@ -205,3 +205,26 @@ func TestAllocsPinSharedContended(t *testing.T) {
 		t.Errorf("steady-state Shared.UpdateRawContended allocates %.1f per op, want 0", allocs)
 	}
 }
+
+// TestSharedAppendDrainKeepsSlots: Shared's unordered drain returns the
+// same multiset as Partials and Resets every stripe in place.
+func TestSharedAppendDrainKeepsSlots(t *testing.T) {
+	sh := NewShared(0, 4)
+	for i := 0; i < 10_000; i++ {
+		sh.UpdateRaw(tuple.Tuple{Key: tuple.Key(i % 3_000), Val: int64(i)})
+	}
+	want := sh.Partials()
+	slots := make([]int, len(sh.stripes))
+	for i := range sh.stripes {
+		slots[i] = sh.stripes[i].t.Slots()
+	}
+	samePartials(t, "shared AppendDrain", sortedDrain(sh.AppendDrain(nil)), want)
+	if sh.Len() != 0 {
+		t.Errorf("Len = %d after AppendDrain, want 0", sh.Len())
+	}
+	for i := range sh.stripes {
+		if got := sh.stripes[i].t.Slots(); got != slots[i] {
+			t.Errorf("stripe %d has %d slots after AppendDrain, want %d", i, got, slots[i])
+		}
+	}
+}

@@ -6,7 +6,10 @@
 // package in the analyzer's scope.
 package aggtable
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 type Key int64
 
@@ -32,6 +35,42 @@ func (t *table) DrainSorted() []Partial {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	t.m = map[Key]State{}
+	return out
+}
+
+// byKey is the typed comparator the slices.SortFunc drains use.
+func byKey(a, b Partial) int {
+	if a.Key < b.Key {
+		return -1
+	}
+	if a.Key > b.Key {
+		return 1
+	}
+	return 0
+}
+
+// DrainSortFunc sorts with the typed slices.SortFunc instead of the
+// reflective sort.Slice; the sort still kills the map order.
+func (t *table) DrainSortFunc() []Partial {
+	out := make([]Partial, 0, len(t.m))
+	for k, s := range t.m {
+		out = append(out, Partial{Key: k, State: s})
+	}
+	slices.SortFunc(out, byKey)
+	return out
+}
+
+// BucketsSortFunc is the sort-every-bucket idiom with slices.SortFunc,
+// the shape of the dist layer's per-destination partial buffers.
+func (t *table) BucketsSortFunc(n int) [][]Partial {
+	out := make([][]Partial, n)
+	for k, s := range t.m {
+		d := int(k) % n
+		out[d] = append(out[d], Partial{Key: k, State: s})
+	}
+	for d := range out {
+		slices.SortFunc(out[d], byKey)
+	}
 	return out
 }
 

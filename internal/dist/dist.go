@@ -23,10 +23,11 @@ package dist
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -643,7 +644,7 @@ func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic
 		for d := 0; d < n; d++ {
 			// partBuf[d] was filled in map order; fix the wire order so a
 			// same-seed run ships byte-identical frames.
-			sort.Slice(partBuf[d], func(i, j int) bool { return partBuf[d][i].Key < partBuf[d][j].Key })
+			slices.SortFunc(partBuf[d], func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
 			if len(partBuf[d]) > 0 {
 				if err := peers[d].writePartials(partBuf[d]); err != nil {
 					return nodeErr(cfg.ID, d, PhaseWrite, err)

@@ -2,10 +2,11 @@ package dist
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -819,7 +820,7 @@ func (nd *tnode) scanPrimary() {
 			partBuf[d] = append(partBuf[d], tuple.Partial{Key: k, State: s})
 		}
 		for d := 0; d < n; d++ {
-			sort.Slice(partBuf[d], func(i, j int) bool { return partBuf[d][i].Key < partBuf[d][j].Key })
+			slices.SortFunc(partBuf[d], func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
 			if len(partBuf[d]) > 0 {
 				if err := nd.peers[d].writePartialsT(nd.id, 0, partBuf[d]); err != nil {
 					nd.shipFail(d, err)
@@ -950,7 +951,7 @@ func (nd *tnode) runJob(j tjob) {
 			partBuf[dest(k)] = append(partBuf[dest(k)], tuple.Partial{Key: k, State: s})
 		}
 		for d := 0; d < n; d++ {
-			sort.Slice(partBuf[d], func(a, b int) bool { return partBuf[d][a].Key < partBuf[d][b].Key })
+			slices.SortFunc(partBuf[d], func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
 			if len(partBuf[d]) > 0 {
 				if err := nd.peers[d].writePartialsT(j.partition, j.epoch, partBuf[d]); err != nil {
 					nd.shipFail(d, err)

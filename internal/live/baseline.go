@@ -1,7 +1,8 @@
 package live
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parallelagg/internal/tuple"
 )
@@ -69,14 +70,17 @@ func (t *mapTable) MergeBatch(pb *tuple.PartialBatch, refused []int) []int {
 	return refused
 }
 
-func (t *mapTable) Drain() []tuple.Partial {
-	out := make([]tuple.Partial, 0, len(t.m))
+// AppendDrain appends the contents to out in ascending key order and
+// empties the table. The sort keeps map iteration order out of the
+// engine, as it always has for this baseline.
+func (t *mapTable) AppendDrain(out []tuple.Partial) []tuple.Partial {
+	ps := make([]tuple.Partial, 0, len(t.m))
 	for k, s := range t.m {
-		out = append(out, tuple.Partial{Key: k, State: s})
+		ps = append(ps, tuple.Partial{Key: k, State: s})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(ps, func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
 	t.m = make(map[tuple.Key]tuple.AggState)
-	return out
+	return append(out, ps...)
 }
 
 func (t *mapTable) OccupancyPermille() int {

@@ -73,8 +73,7 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		}
 		switch wk.alg {
 		case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
-			wk.noteOcc(local)
-			wk.flushPartialsB(local.Drain())
+			wk.flushPartialsB(wk.drainLocal(local))
 			mode = modeRoute
 			switched = true
 			wk.routeB(t)
@@ -160,39 +159,8 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		}
 	}
 
-	// Drain the local table, then process the spill in bounded passes,
-	// exactly like the overflow-bucket loop of the paper.
-	if wk.shared != nil {
-		wk.noteOcc(wk.shared)
-	}
-	wk.noteOcc(local)
-	wk.flushPartialsB(local.Drain())
-	for spill != nil && spill.len() > 0 {
-		var next spillStore
-		tab := wk.newTable(bound)
-		err = spill.drain(func(t tuple.Tuple) error {
-			if tab.UpdateRaw(t) {
-				return nil
-			}
-			if next == nil {
-				var nerr error
-				if next, nerr = newSpillStore(wk.cfg); nerr != nil {
-					return nerr
-				}
-			}
-			return next.add(t)
-		})
-		spill.close()
-		spill = next
-		if err != nil {
-			if spill != nil {
-				spill.close()
-				spill = nil
-			}
-			return switched, err
-		}
-		wk.noteOcc(tab)
-		wk.flushPartialsB(tab.Drain())
+	if err = wk.finishLocal(local, &spill, wk.flushPartialsB); err != nil {
+		return switched, err
 	}
 	wk.flushAll()
 	return switched, nil

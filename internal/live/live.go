@@ -141,15 +141,20 @@ type Config struct {
 	// columnar batch path existed: tuple-at-a-time folds, row-major
 	// exchange batches, one stripe-lock acquisition per shared fold. It
 	// exists as a benchmark baseline (BENCH_pr10) and a differential-
-	// testing oracle; the default batch path is strictly faster. Results
-	// are identical either way.
+	// testing oracle. The default batch path is not uniformly faster:
+	// repeated runs put it about 2.4x ahead on Shared at selectivity
+	// 0.001, and level with the scalar path on 2P at selectivity 0.5.
+	// Results are identical either way.
 	ScalarPath bool
 
 	// BaselineMapTables runs every worker table on the builtin-map
 	// implementation the engine used before internal/aggtable existed.
 	// It exists only as a benchmark baseline (BENCH_pr5) and a
-	// differential-testing oracle; the default open-addressing path is
-	// strictly faster. Results are identical either way.
+	// differential-testing oracle. BENCH_pr5's single-shot cells put the
+	// default open-addressing tables 1.25-2.7x ahead end to end, least at
+	// high cardinality, where drains and merges rather than table probes
+	// dominate; that is a measurement, not a guarantee for every
+	// workload. Results are identical either way.
 	BaselineMapTables bool
 
 	// Obs, when non-nil, receives per-worker counters (rows, routed
@@ -200,14 +205,17 @@ type Result struct {
 // sides fold into: the open-addressing internal/aggtable.Table by
 // default, or the builtin-map baseline under Config.BaselineMapTables.
 // Update/Merge return false when the key is absent and the table is at
-// its bound; Drain empties the table in ascending key order.
+// its bound. AppendDrain appends the contents to a caller buffer in an
+// unspecified order and empties the table for reuse: nothing in the
+// engine observes drain order, because every drained partial is folded
+// again (merge side) or lands in the Result.Groups map.
 type groupTable interface {
 	UpdateRaw(tuple.Tuple) bool
 	MergePartial(tuple.Partial) bool
 	UpdateBatch(*tuple.Batch, []int) []int
 	MergeBatch(*tuple.PartialBatch, []int) []int
 	Len() int
-	Drain() []tuple.Partial
+	AppendDrain([]tuple.Partial) []tuple.Partial
 	OccupancyPermille() int
 }
 
@@ -407,10 +415,13 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	merged := make(map[tuple.Key]tuple.AggState, total)
 	for wi, r := range results {
 		for _, pt := range r {
-			if _, dup := merged[pt.Key]; dup {
+			// One probe per group: a key that is already present leaves
+			// the map's size unchanged.
+			n := len(merged)
+			merged[pt.Key] = pt.State
+			if len(merged) == n {
 				return nil, fmt.Errorf("live: group %d produced by two workers (second: %d)", pt.Key, wi)
 			}
-			merged[pt.Key] = pt.State
 		}
 	}
 	if shared != nil {
@@ -419,12 +430,14 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		// split across the pre- and post-switch phases) and with the
 		// per-worker overflow tables plain Shared falls back to at its
 		// bound, so these fold with Merge instead of the duplicate check.
-		for _, pt := range shared.Drain() {
+		buf := shared.AppendDrain(nil)
+		for _, pt := range buf {
 			mergeGroup(merged, pt)
 		}
 		for _, wk := range workers {
 			if wk.sharedOv != nil {
-				for _, pt := range wk.sharedOv.Drain() {
+				buf = wk.sharedOv.AppendDrain(buf[:0])
+				for _, pt := range buf {
 					mergeGroup(merged, pt)
 				}
 			}
@@ -515,6 +528,13 @@ type worker struct {
 	refused []int
 	//aggvet:owner scan
 	sc aggtable.BatchScratch
+
+	// drained is the buffer the scan side drains its local table into,
+	// retained across drains so a refill-and-drain cycle allocates
+	// nothing once it has reached the table's size.
+	//
+	//aggvet:owner scan
+	drained []tuple.Partial
 }
 
 type workerMode int
@@ -619,8 +639,7 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 			case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
 				// Flush the accumulated partials, free the memory,
 				// repartition from here on — the A-2P switch.
-				wk.noteOcc(local)
-				wk.flushPartials(local.Drain())
+				wk.flushPartials(wk.drainLocal(local))
 				mode = modeRoute
 				switched = true
 				wk.route(t)
@@ -641,18 +660,34 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 		}
 	}
 
-	// Drain the local table, then process the spill in bounded passes,
-	// exactly like the overflow-bucket loop of the paper.
+	if err = wk.finishLocal(local, &spill, wk.flushPartials); err != nil {
+		return switched, err
+	}
+	wk.flushAll()
+	return switched, nil
+}
+
+// drainLocal records tab's occupancy, then drains it into the worker's
+// retained buffer. The partials stay valid until the next drainLocal.
+func (wk *worker) drainLocal(tab groupTable) []tuple.Partial {
+	wk.noteOcc(tab)
+	wk.drained = tab.AppendDrain(wk.drained[:0])
+	return wk.drained
+}
+
+// finishLocal drains the local table, then processes the spill in bounded
+// passes through the same (drained, capacity-keeping) table, exactly like
+// the overflow-bucket loop of the paper. flush ships each drain. On error
+// *spill holds the store still to be closed.
+func (wk *worker) finishLocal(local groupTable, spill *spillStore, flush func([]tuple.Partial)) error {
 	if wk.shared != nil {
 		wk.noteOcc(wk.shared)
 	}
-	wk.noteOcc(local)
-	wk.flushPartials(local.Drain())
-	for spill != nil && spill.len() > 0 {
+	flush(wk.drainLocal(local))
+	for *spill != nil && (*spill).len() > 0 {
 		var next spillStore
-		tab := wk.newTable(bound)
-		err = spill.drain(func(t tuple.Tuple) error {
-			if tab.UpdateRaw(t) {
+		err := (*spill).drain(func(t tuple.Tuple) error {
+			if local.UpdateRaw(t) {
 				return nil
 			}
 			if next == nil {
@@ -663,20 +698,14 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 			}
 			return next.add(t)
 		})
-		spill.close()
-		spill = next
+		(*spill).close()
+		*spill = next
 		if err != nil {
-			if spill != nil {
-				spill.close()
-				spill = nil
-			}
-			return switched, err
+			return err
 		}
-		wk.noteOcc(tab)
-		wk.flushPartials(tab.Drain())
+		flush(wk.drainLocal(local))
 	}
-	wk.flushAll()
-	return switched, nil
+	return nil
 }
 
 // sharedStep folds one tuple into the shared concurrent table. It
@@ -727,15 +756,22 @@ func (wk *worker) sharedContentionHigh() bool {
 }
 
 // mergeSide folds everything routed to this worker into its final groups,
-// returned in ascending key order. The merge table is allowed to exceed
-// the bound only logically: overflow entries go to a second pass, as the
-// disk-backed bucket loop would. Every folded batch goes back to the
-// exchange pool, which is what keeps the steady-state data plane
-// allocation-free.
+// in no particular order. The bounded merge table never evicts, so a key
+// it refuses once it refuses for the rest of the run: refused tuples and
+// partials fold straight into an unbounded overflow table, created on the
+// first refusal, whose keys are therefore disjoint from the merge table's
+// (DESIGN.md §13). The result is the two drains concatenated. Every folded
+// batch goes back to the exchange pool, which is what keeps the
+// steady-state data plane allocation-free.
 func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
-	bound := wk.cfg.TableEntries
-	global := wk.newTable(bound)
-	var overflow []tuple.Partial
+	global := wk.newTable(wk.cfg.TableEntries)
+	var ov groupTable // the overflow table, nil until the first refusal
+	overflow := func() groupTable {
+		if ov == nil {
+			ov = wk.newTable(0)
+		}
+		return ov
+	}
 	var refused []int // merge-goroutine-local batch refusal scratch
 	srcs := make([]bool, wk.cfg.Workers)
 	for m := range inbox {
@@ -743,7 +779,7 @@ func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
 		if m.raw != nil {
 			for _, t := range m.raw.ts {
 				if !global.UpdateRaw(t) {
-					overflow = append(overflow, tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)})
+					overflow().UpdateRaw(t)
 				}
 			}
 			wk.pools.raw.Put(m.raw)
@@ -751,7 +787,7 @@ func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
 		if m.part != nil {
 			for _, pt := range m.part.ps {
 				if !global.MergePartial(pt) {
-					overflow = append(overflow, pt)
+					overflow().MergePartial(pt)
 				}
 			}
 			wk.pools.part.Put(m.part)
@@ -759,14 +795,14 @@ func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
 		if m.craw != nil {
 			refused = global.UpdateBatch(&m.craw.b, refused[:0])
 			for _, ix := range refused {
-				overflow = append(overflow, tuple.Partial{Key: m.craw.b.Keys[ix], State: tuple.NewState(m.craw.b.Vals[ix])})
+				overflow().UpdateRaw(m.craw.b.At(ix))
 			}
 			wk.pools.colRaw.Put(m.craw)
 		}
 		if m.cpart != nil {
 			refused = global.MergeBatch(&m.cpart.pb, refused[:0])
 			for _, ix := range refused {
-				overflow = append(overflow, m.cpart.pb.At(ix))
+				overflow().MergePartial(m.cpart.pb.At(ix))
 			}
 			wk.pools.colPart.Put(m.cpart)
 		}
@@ -777,19 +813,15 @@ func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
 		}
 	}
 	wk.noteOcc(global)
-	if len(overflow) == 0 {
-		return global.Drain()
+	n := global.Len()
+	if ov != nil {
+		n += ov.Len()
 	}
-	// Second pass: fold the bounded table and its overflow into an
-	// unbounded table (the logical equivalent of the paper's bucket loop).
-	out := wk.newTable(0)
-	for _, pt := range global.Drain() {
-		out.MergePartial(pt)
+	out := global.AppendDrain(make([]tuple.Partial, 0, n))
+	if ov != nil {
+		out = ov.AppendDrain(out)
 	}
-	for _, pt := range overflow {
-		out.MergePartial(pt)
-	}
-	return out.Drain()
+	return out
 }
 
 // route queues one raw tuple for the worker owning its group.
