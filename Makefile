@@ -68,5 +68,3 @@ bench:
 # algorithm × selectivity, written to BENCH_pr3.json.
 bench-json:
 	GO="$(GO)" sh scripts/bench-json.sh
-	$(GO) run ./cmd/aggbench -microbench -out BENCH_pr5.json
-	$(GO) run ./cmd/aggbench -sharedbench -out BENCH_pr9.json

@@ -40,6 +40,10 @@ func main() {
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the benchmark completes")
 	)
 	flag.Parse()
+	if err := validateFlags(*tuples, *groups, *runs); err != nil {
+		fmt.Fprintln(os.Stderr, "livebench:", err)
+		os.Exit(2)
+	}
 
 	var reg *parallelagg.MetricsRegistry
 	if *metricsAddr != "" {
@@ -132,4 +136,19 @@ func main() {
 	if *metricsLinger > 0 {
 		time.Sleep(*metricsLinger)
 	}
+}
+
+// validateFlags rejects inputs the benchmark cannot honour: the
+// generator needs at least one tuple and one group, can only produce as
+// many distinct groups as it has tuples, and a best-of-N needs N ≥ 1.
+func validateFlags(tuples, groups int64, runs int) error {
+	switch {
+	case tuples < 1:
+		return fmt.Errorf("-tuples must be at least 1, got %d", tuples)
+	case groups < 1 || groups > tuples:
+		return fmt.Errorf("-groups must be between 1 and -tuples (%d), got %d", tuples, groups)
+	case runs < 1:
+		return fmt.Errorf("-runs must be at least 1, got %d", runs)
+	}
+	return nil
 }

@@ -27,8 +27,9 @@
 // are havoc only in the sense that passing an already-Put object to
 // any call is reported as a use.
 //
-// Scoped to internal/live and internal/dist — the layers that recycle
-// rawBatch/partBatch buffers through pools.
+// Scoped to internal/live and internal/dist — the exchange layers;
+// internal/live recycles its columnar colRawBatch/colPartBatch
+// exchange buffers through per-run pools.
 package pooluse
 
 import (

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,12 +9,12 @@ import (
 	"parallelagg/internal/workload"
 )
 
-// The batch scan path is the default; Config.ScalarPath keeps the
-// per-tuple fold reachable as the differential baseline. This suite is
-// the equivalence argument's teeth: same seed, same workload, same
-// bounds — the two paths must produce byte-identical results on every
-// algorithm, including the adaptive and shared ones whose internal
-// switch timing may legitimately differ between paths.
+// The engine has one data plane, and its correctness argument is
+// equivalence with a sequential fold: whatever the chunk size, bound,
+// worker count or adaptive switch timing, every algorithm must produce
+// exactly the groups one unbounded aggtable.Table produces from the same
+// input. This suite and TestMergeOverflowDifferential (merge_test.go)
+// hold it to that, byte for byte.
 
 // diffWorkload builds a deterministic workload for one differential
 // seed, sweeping selectivity (groups/tuples) and table pressure so low-,
@@ -51,64 +52,26 @@ func diffWorkload(seed int64) (*workload.Relation, Config) {
 	return rel, cfg
 }
 
+// TestBatchScalarDifferential runs every algorithm over 50 seeded
+// workloads spanning low to high cardinality and unbounded to tight
+// tables, and requires byte-identical results to the sequential oracle.
 func TestBatchScalarDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rel, cfg := diffWorkload(seed)
 		in := flatten(rel)
+		wantN, want := sequentialOracle(in)
 		for _, alg := range Algorithms() {
 			t.Run(fmt.Sprintf("seed%d/%v", seed, alg), func(t *testing.T) {
-				scalarCfg := cfg
-				scalarCfg.ScalarPath = true
-				sres, err := Aggregate(scalarCfg, in, alg)
+				res, err := Aggregate(cfg, in, alg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bres, err := Aggregate(cfg, in, alg)
-				if err != nil {
-					t.Fatal(err)
+				if !bytes.Equal(resultBytes(res), want) {
+					t.Fatalf("%d groups differ from the sequential oracle's %d", len(res.Groups), wantN)
 				}
-				if len(bres.Groups) != len(sres.Groups) {
-					t.Fatalf("batch %d groups, scalar %d", len(bres.Groups), len(sres.Groups))
-				}
-				for k, ss := range sres.Groups {
-					if bs, ok := bres.Groups[k]; !ok || bs != ss {
-						t.Fatalf("group %d: batch %+v, scalar %+v", k, bres.Groups[k], ss)
-					}
-				}
-				// Both must also match the sequential reference.
-				checkAgainstReference(t, rel, bres)
+				checkAgainstReference(t, rel, res)
 			})
 		}
-	}
-}
-
-// The scalar flag must actually select the scalar path — a quick probe
-// that the two paths exist and behave identically on a bound so tight
-// the refusal machinery dominates.
-func TestBatchScalarDifferentialTinyBound(t *testing.T) {
-	rel := workload.Uniform(4, 10_000, 5_000, 77)
-	in := flatten(rel)
-	for _, alg := range Algorithms() {
-		cfg := Config{Workers: 4, TableEntries: 8}
-		scalarCfg := cfg
-		scalarCfg.ScalarPath = true
-		sres, err := Aggregate(scalarCfg, in, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		bres, err := Aggregate(cfg, in, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		for k, ss := range sres.Groups {
-			if bs, ok := bres.Groups[k]; !ok || bs != ss {
-				t.Fatalf("%v group %d: batch %+v, scalar %+v", alg, k, bres.Groups[k], ss)
-			}
-		}
-		if len(bres.Groups) != len(sres.Groups) {
-			t.Fatalf("%v: batch %d groups, scalar %d", alg, len(bres.Groups), len(sres.Groups))
-		}
-		checkAgainstReference(t, rel, bres)
 	}
 }
 

@@ -1,20 +1,19 @@
-// The columnar batch data plane: the default scan path since the
-// struct-of-arrays tuple.Batch landed. The scan side cuts its partition
-// into cfg.Batch-sized chunks and folds each chunk with ONE call into
-// the batch entry points of internal/aggtable — pre-hashed probes on
-// the local table, stripe-segmented locking on the shared one — and
-// routes into columnar per-destination builders that travel the
+// The scan side of the engine's data plane. Each worker cuts its
+// partition into cfg.Batch-sized chunks and folds each chunk with ONE
+// call into the batch entry points of internal/aggtable — pre-hashed
+// probes on the local table, stripe-segmented locking on the shared one
+// — and routes into columnar per-destination builders that travel the
 // exchange as colRawBatch/colPartBatch messages.
 //
-// Semantics are the scalar path's, chunk-shaped. The adaptive triggers
-// fire at chunk boundaries instead of per tuple (a switch decision can
-// lag by at most one chunk), and a refusing chunk folds its absorbable
-// tuples before the switch instead of none of them, but both paths
-// compute the same exact fold of the input multiset: every tuple lands
-// in exactly one table, every table drains to the merge of its groups,
-// and AggState folds are commutative and associative — so final groups
-// are byte-identical (the differential suite in batch_test.go holds
-// the two paths to that).
+// The adaptive triggers fire at chunk boundaries (a switch decision can
+// lag the tuple that justified it by at most one chunk), and a refusing
+// chunk folds its absorbable tuples before the switch. Neither changes
+// the result: every tuple lands in exactly one table, every table drains
+// to the merge of its groups, and AggState folds are commutative and
+// associative — so final groups are byte-identical to a sequential fold
+// of the input multiset, whatever the chunk size or switch timing (the
+// differential suites in batch_test.go and merge_test.go hold every
+// algorithm to that).
 //
 // Only AdaptiveRepartitioning's observation phase stays per-tuple: its
 // contract ("distinct groups among the first InitSeg tuples") is
@@ -28,12 +27,16 @@ import (
 	"parallelagg/internal/tuple"
 )
 
-// scanSideBatch is the batch-path body of scanSide: same strategy
-// state machine, chunked folds. Called from (and owned by) the scan
-// loop goroutine.
-func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error) {
-	bound := wk.cfg.TableEntries
-	local := wk.newTable(bound)
+// scanSide aggregates or routes this worker's partition in chunks,
+// reporting whether it switched strategy. It is the owning loop of the
+// worker's outbound batch state (outRawC/outPartC) and scan scratch.
+//
+//aggvet:loop scan
+func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
+	w := wk.cfg.Workers
+	wk.outRawC = make([]*colRawBatch, w)
+	wk.outPartC = make([]*colPartBatch, w)
+	local := aggtable.New(wk.cfg.TableEntries)
 	mode := modeLocal
 	switch wk.alg {
 	case Repartitioning, AdaptiveRepartitioning:
@@ -59,10 +62,10 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 	}
 
 	// foldLocalOne is the cold per-tuple leftover path: tuples a batch
-	// fold refused re-enter here, where the scalar local-mode logic
+	// fold refused re-enter here, where the local-mode overflow logic
 	// (drain-and-switch for the adaptive algorithms, spill for 2P)
-	// applies. The re-probe is cheap and keeps the refusal handling
-	// textually identical to the scalar path's.
+	// applies. The re-probe is cheap, and after a switch it routes the
+	// rest of the refused chunk.
 	foldLocalOne := func(t tuple.Tuple) error {
 		if mode != modeLocal {
 			wk.routeB(t)
@@ -159,7 +162,7 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		}
 	}
 
-	if err = wk.finishLocal(local, &spill, wk.flushPartialsB); err != nil {
+	if err = wk.finishLocal(local, &spill); err != nil {
 		return switched, err
 	}
 	wk.flushAll()
@@ -172,8 +175,9 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 // partitioned aggregation (AdaptiveShared only): either another worker
 // raised the fallback flag (whole chunk returned), or folds were
 // refused at the table's global bound (refused tuples returned). Plain
-// Shared never falls back — refused tuples go to the worker-private
-// overflow table, as in the scalar path.
+// Shared never falls back — refused tuples go to a worker-private
+// unbounded overflow table, the live equivalent of the paper's spill
+// pass, which the coordinator merges at the end.
 func (wk *worker) sharedChunk(seg []tuple.Tuple) ([]tuple.Tuple, bool) {
 	if wk.alg == Shared {
 		wk.scanB.Reset()

@@ -18,9 +18,10 @@
 // moment the query starts (so bounded exchange channels provide
 // backpressure without deadlock).
 //
-// The data plane is allocation-free in steady state: worker tables are
-// internal/aggtable open-addressing tables (inline update, no per-tuple
-// map traffic), and exchange batches are sync.Pool-recycled — the merge
+// The engine has one data plane, and it is allocation-free in steady
+// state: worker tables are internal/aggtable open-addressing tables folded
+// a columnar chunk at a time (UpdateBatch/MergeBatch), and exchange
+// messages are columnar batches recycled through sync.Pools — the merge
 // side returns each batch to the pool after folding it, so after warm-up
 // the scan sides append into recycled buffers instead of allocating.
 package live
@@ -137,26 +138,6 @@ type Config struct {
 	SpillToDisk bool
 	SpillDir    string
 
-	// ScalarPath runs the per-tuple data plane the engine used before the
-	// columnar batch path existed: tuple-at-a-time folds, row-major
-	// exchange batches, one stripe-lock acquisition per shared fold. It
-	// exists as a benchmark baseline (BENCH_pr10) and a differential-
-	// testing oracle. The default batch path is not uniformly faster:
-	// repeated runs put it about 2.4x ahead on Shared at selectivity
-	// 0.001, and level with the scalar path on 2P at selectivity 0.5.
-	// Results are identical either way.
-	ScalarPath bool
-
-	// BaselineMapTables runs every worker table on the builtin-map
-	// implementation the engine used before internal/aggtable existed.
-	// It exists only as a benchmark baseline (BENCH_pr5) and a
-	// differential-testing oracle. BENCH_pr5's single-shot cells put the
-	// default open-addressing tables 1.25-2.7x ahead end to end, least at
-	// high cardinality, where drains and merges rather than table probes
-	// dominate; that is a measurement, not a guarantee for every
-	// workload. Results are identical either way.
-	BaselineMapTables bool
-
 	// Obs, when non-nil, receives per-worker counters (rows, routed
 	// tuples, partials, spills, groups, merge fan-in) and whole-run
 	// throughput after the aggregation completes.
@@ -201,39 +182,10 @@ type Result struct {
 	PerWorker []WorkerMetrics
 }
 
-// groupTable is the bounded aggregation table a worker's scan and merge
-// sides fold into: the open-addressing internal/aggtable.Table by
-// default, or the builtin-map baseline under Config.BaselineMapTables.
-// Update/Merge return false when the key is absent and the table is at
-// its bound. AppendDrain appends the contents to a caller buffer in an
-// unspecified order and empties the table for reuse: nothing in the
-// engine observes drain order, because every drained partial is folded
-// again (merge side) or lands in the Result.Groups map.
-type groupTable interface {
-	UpdateRaw(tuple.Tuple) bool
-	MergePartial(tuple.Partial) bool
-	UpdateBatch(*tuple.Batch, []int) []int
-	MergeBatch(*tuple.PartialBatch, []int) []int
-	Len() int
-	AppendDrain([]tuple.Partial) []tuple.Partial
-	OccupancyPermille() int
-}
-
-// tableFactory picks the groupTable implementation once per run.
-func (c Config) tableFactory() func(bound int) groupTable {
-	if c.BaselineMapTables {
-		return func(bound int) groupTable { return newMapTable(bound) }
-	}
-	return func(bound int) groupTable { return aggtable.New(bound) }
-}
-
-// rawBatch and partBatch are pooled row-major exchange buffers (the
-// scalar path); colRawBatch and colPartBatch their columnar twins (the
-// batch path). The holder structs travel through the channels by pointer
-// so the merge side can hand the same allocation back to the pool after
-// folding it.
-type rawBatch struct{ ts []tuple.Tuple }
-type partBatch struct{ ps []tuple.Partial }
+// colRawBatch and colPartBatch are the pooled columnar exchange buffers:
+// raw tuples routed to their owner, and drained partials. The holder
+// structs travel through the channels by pointer so the merge side can
+// hand the same allocation back to the pool after folding it.
 type colRawBatch struct{ b tuple.Batch }
 type colPartBatch struct{ pb tuple.PartialBatch }
 
@@ -241,20 +193,12 @@ type colPartBatch struct{ pb tuple.PartialBatch }
 // not global, so every pooled buffer has exactly cfg.Batch capacity and
 // the allocations die with the run.
 type exchangePools struct {
-	raw     sync.Pool
-	part    sync.Pool
 	colRaw  sync.Pool
 	colPart sync.Pool
 }
 
 func newExchangePools(batch int) *exchangePools {
 	return &exchangePools{
-		raw: sync.Pool{New: func() any {
-			return &rawBatch{ts: make([]tuple.Tuple, 0, batch)}
-		}},
-		part: sync.Pool{New: func() any {
-			return &partBatch{ps: make([]tuple.Partial, 0, batch)}
-		}},
 		colRaw: sync.Pool{New: func() any {
 			return &colRawBatch{b: tuple.Batch{
 				Keys: make([]tuple.Key, 0, batch),
@@ -274,18 +218,6 @@ func newExchangePools(batch int) *exchangePools {
 	}
 }
 
-func (p *exchangePools) getRaw() *rawBatch {
-	b := p.raw.Get().(*rawBatch)
-	b.ts = b.ts[:0]
-	return b
-}
-
-func (p *exchangePools) getPart() *partBatch {
-	b := p.part.Get().(*partBatch)
-	b.ps = b.ps[:0]
-	return b
-}
-
 func (p *exchangePools) getColRaw() *colRawBatch {
 	b := p.colRaw.Get().(*colRawBatch)
 	b.b.Reset()
@@ -298,13 +230,11 @@ func (p *exchangePools) getColPart() *colPartBatch {
 	return b
 }
 
-// message is one exchange batch between workers. At most one of
-// raw/part/craw/cpart is non-nil; the receiver owns the batch and must
-// return it to the pool once folded.
+// message is one exchange batch between workers. Exactly one of
+// craw/cpart is non-nil; the receiver owns the batch and must return it
+// to the pool once folded.
 type message struct {
 	src   int // sending worker, for merge fan-in accounting
-	raw   *rawBatch
-	part  *partBatch
 	craw  *colRawBatch
 	cpart *colPartBatch
 }
@@ -373,7 +303,6 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	switched := make([]bool, w)
 	errs := make([]error, w)
 	var fallback atomic.Bool // ARep's broadcast "end-of-phase" flag
-	newTable := cfg.tableFactory()
 
 	start := time.Now()
 	var all sync.WaitGroup
@@ -381,8 +310,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	for i := 0; i < w; i++ {
 		i := i
 		wk := &worker{id: i, cfg: cfg, alg: alg, inboxes: inboxes,
-			fallback: &fallback, m: &metrics[i], pools: pools, newTable: newTable,
-			shared: shared}
+			fallback: &fallback, m: &metrics[i], pools: pools, shared: shared}
 		workers[i] = wk
 		all.Add(2)
 		go func() {
@@ -490,7 +418,6 @@ type worker struct {
 	fallback *atomic.Bool
 	m        *WorkerMetrics
 	pools    *exchangePools
-	newTable func(bound int) groupTable
 
 	// shared is the one concurrent table every worker folds into under
 	// the Shared/AdaptiveShared algorithms (nil otherwise). sharedOv is
@@ -509,16 +436,12 @@ type worker struct {
 	// inbox channels instead).
 	//
 	//aggvet:owner scan
-	outRaw []*rawBatch
-	//aggvet:owner scan
-	outPart []*partBatch
-	//aggvet:owner scan
 	outRawC []*colRawBatch
 	//aggvet:owner scan
 	outPartC []*colPartBatch
 
-	// Batch-path scan scratch: the columnar staging batch the scan side
-	// folds chunks through, the reusable refusal index list, and the
+	// Scan scratch: the columnar staging batch the scan side folds
+	// chunks through, the reusable refusal index list, and the
 	// shared table's partition scratch. All reach 0 allocs/op after the
 	// first chunk.
 	//
@@ -546,130 +469,19 @@ const (
 )
 
 // noteOcc records the table's high-water occupancy for the obs layer.
-// It takes just the occupancy hook so the Shared table (whose batch
-// entry points need caller-owned scratch) qualifies alongside
-// groupTable implementations.
+// It takes just the occupancy hook so the worker's local
+// *aggtable.Table and the run's *aggtable.Shared both qualify.
 func (wk *worker) noteOcc(tab interface{ OccupancyPermille() int }) {
 	if occ := int64(tab.OccupancyPermille()); occ > wk.m.TableOcc {
 		wk.m.TableOcc = occ
 	}
 }
 
-// scanSide aggregates or routes this worker's partition, reporting whether
-// it switched strategy. It is the owning loop of the worker's outbound
-// batch state (outRaw/outPart).
-//
-//aggvet:loop scan
-func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
-	w := wk.cfg.Workers
-	wk.outRaw = make([]*rawBatch, w)
-	wk.outPart = make([]*partBatch, w)
-	wk.outRawC = make([]*colRawBatch, w)
-	wk.outPartC = make([]*colPartBatch, w)
-	if !wk.cfg.ScalarPath {
-		return wk.scanSideBatch(part)
-	}
-
-	bound := wk.cfg.TableEntries
-	local := wk.newTable(bound)
-	mode := modeLocal
-	switch wk.alg {
-	case Repartitioning, AdaptiveRepartitioning:
-		mode = modeRoute
-	case Shared, AdaptiveShared:
-		mode = modeShared
-	}
-	switched := false
-	var spill spillStore // plain 2P's overflow buffer (memory or real disk)
-	defer func() {
-		if spill != nil {
-			spill.close()
-		}
-	}()
-
-	// ARep observation state.
-	observing := wk.alg == AdaptiveRepartitioning
-	obsSeen := 0
-	obsGroups := make(map[tuple.Key]struct{})
-	threshold := int(wk.cfg.SwitchRatio * float64(wk.cfg.InitSeg))
-	if threshold < 1 {
-		threshold = 1
-	}
-
-	wk.m.Scanned = int64(len(part))
-	for _, t := range part {
-		if mode == modeShared {
-			if wk.sharedStep(t) {
-				continue
-			}
-			// Not absorbed: AdaptiveShared is falling back. From here
-			// this worker runs the AdaptiveTwoPhase strategy, starting
-			// with this very tuple.
-			mode = modeLocal
-			switched = true
-		}
-		if mode == modeRoute && wk.alg == AdaptiveRepartitioning {
-			if wk.fallback.Load() {
-				// Another worker (or this one) declared end-of-phase.
-				mode = modeLocal
-				switched = true
-				observing = false
-			} else if observing {
-				obsSeen++
-				if len(obsGroups) <= threshold {
-					obsGroups[t.Key] = struct{}{}
-				}
-				if len(obsGroups) > threshold {
-					observing = false // plenty of groups: keep routing
-				} else if obsSeen >= wk.cfg.InitSeg {
-					observing = false
-					wk.fallback.Store(true)
-					mode = modeLocal
-					switched = true
-				}
-			}
-		}
-		switch mode {
-		case modeLocal:
-			if local.UpdateRaw(t) {
-				continue
-			}
-			// Local table is full and this tuple starts a new group.
-			switch wk.alg {
-			case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
-				// Flush the accumulated partials, free the memory,
-				// repartition from here on — the A-2P switch.
-				wk.flushPartials(wk.drainLocal(local))
-				mode = modeRoute
-				switched = true
-				wk.route(t)
-			default:
-				// Plain 2P spools the overflow tuple.
-				wk.m.Spilled++
-				if spill == nil {
-					if spill, err = newSpillStore(wk.cfg); err != nil {
-						return switched, err
-					}
-				}
-				if err = spill.add(t); err != nil {
-					return switched, err
-				}
-			}
-		case modeRoute:
-			wk.route(t)
-		}
-	}
-
-	if err = wk.finishLocal(local, &spill, wk.flushPartials); err != nil {
-		return switched, err
-	}
-	wk.flushAll()
-	return switched, nil
-}
-
 // drainLocal records tab's occupancy, then drains it into the worker's
 // retained buffer. The partials stay valid until the next drainLocal.
-func (wk *worker) drainLocal(tab groupTable) []tuple.Partial {
+// They come out in slot order, which nothing observes: every drained
+// partial is folded again on a merge side or lands in Result.Groups.
+func (wk *worker) drainLocal(tab *aggtable.Table) []tuple.Partial {
 	wk.noteOcc(tab)
 	wk.drained = tab.AppendDrain(wk.drained[:0])
 	return wk.drained
@@ -677,13 +489,13 @@ func (wk *worker) drainLocal(tab groupTable) []tuple.Partial {
 
 // finishLocal drains the local table, then processes the spill in bounded
 // passes through the same (drained, capacity-keeping) table, exactly like
-// the overflow-bucket loop of the paper. flush ships each drain. On error
-// *spill holds the store still to be closed.
-func (wk *worker) finishLocal(local groupTable, spill *spillStore, flush func([]tuple.Partial)) error {
+// the overflow-bucket loop of the paper. Each drain ships as partials. On
+// error *spill holds the store still to be closed.
+func (wk *worker) finishLocal(local *aggtable.Table, spill *spillStore) error {
 	if wk.shared != nil {
 		wk.noteOcc(wk.shared)
 	}
-	flush(wk.drainLocal(local))
+	wk.flushPartialsB(wk.drainLocal(local))
 	for *spill != nil && (*spill).len() > 0 {
 		var next spillStore
 		err := (*spill).drain(func(t tuple.Tuple) error {
@@ -703,50 +515,9 @@ func (wk *worker) finishLocal(local groupTable, spill *spillStore, flush func([]
 		if err != nil {
 			return err
 		}
-		flush(wk.drainLocal(local))
+		wk.flushPartialsB(wk.drainLocal(local))
 	}
 	return nil
-}
-
-// sharedStep folds one tuple into the shared concurrent table. It
-// returns false when the tuple was NOT absorbed and the worker must fall
-// back to partitioned aggregation (AdaptiveShared only): either another
-// worker raised the fallback flag, or this fold was refused at the
-// table's global bound. Plain Shared never falls back — refused tuples
-// go to a worker-private unbounded overflow table, the live equivalent
-// of the paper's spill pass, and the coordinator merges it at the end.
-func (wk *worker) sharedStep(t tuple.Tuple) bool {
-	if wk.alg == Shared {
-		if wk.shared.UpdateRaw(t) {
-			return true
-		}
-		wk.m.Spilled++
-		if wk.sharedOv == nil {
-			wk.sharedOv = aggtable.New(0)
-		}
-		wk.sharedOv.UpdateRaw(t)
-		return true
-	}
-	if wk.fallback.Load() {
-		return false
-	}
-	ok, contended := wk.shared.UpdateRawContended(t)
-	if !ok {
-		// Bound pressure: declare end-of-phase for every worker.
-		wk.fallback.Store(true)
-		return false
-	}
-	wk.sharedSeen++
-	if contended {
-		wk.sharedContended++
-	}
-	if wk.sharedSeen >= wk.cfg.InitSeg {
-		if wk.sharedContentionHigh() {
-			wk.fallback.Store(true)
-		}
-		wk.sharedSeen, wk.sharedContended = 0, 0
-	}
-	return true
 }
 
 // sharedContentionHigh is AdaptiveShared's switch predicate: more than
@@ -764,11 +535,11 @@ func (wk *worker) sharedContentionHigh() bool {
 // batch goes back to the exchange pool, which is what keeps the
 // steady-state data plane allocation-free.
 func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
-	global := wk.newTable(wk.cfg.TableEntries)
-	var ov groupTable // the overflow table, nil until the first refusal
-	overflow := func() groupTable {
+	global := aggtable.New(wk.cfg.TableEntries)
+	var ov *aggtable.Table // the overflow table, nil until the first refusal
+	overflow := func() *aggtable.Table {
 		if ov == nil {
-			ov = wk.newTable(0)
+			ov = aggtable.New(0)
 		}
 		return ov
 	}
@@ -776,22 +547,6 @@ func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
 	srcs := make([]bool, wk.cfg.Workers)
 	for m := range inbox {
 		srcs[m.src] = true
-		if m.raw != nil {
-			for _, t := range m.raw.ts {
-				if !global.UpdateRaw(t) {
-					overflow().UpdateRaw(t)
-				}
-			}
-			wk.pools.raw.Put(m.raw)
-		}
-		if m.part != nil {
-			for _, pt := range m.part.ps {
-				if !global.MergePartial(pt) {
-					overflow().MergePartial(pt)
-				}
-			}
-			wk.pools.part.Put(m.part)
-		}
 		if m.craw != nil {
 			refused = global.UpdateBatch(&m.craw.b, refused[:0])
 			for _, ix := range refused {
@@ -824,60 +579,9 @@ func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
 	return out
 }
 
-// route queues one raw tuple for the worker owning its group.
-func (wk *worker) route(t tuple.Tuple) {
-	wk.m.Routed++
-	d := t.Key.Dest(wk.cfg.Workers)
-	b := wk.outRaw[d]
-	if b == nil {
-		b = wk.pools.getRaw()
-		wk.outRaw[d] = b
-	}
-	b.ts = append(b.ts, t)
-	if len(b.ts) >= wk.cfg.Batch {
-		wk.inboxes[d] <- message{src: wk.id, raw: b}
-		wk.outRaw[d] = nil
-	}
-}
-
-// flushPartials partitions a drained table's partials to their merge
-// workers. The input is consumed (it aliases nothing once sent).
-func (wk *worker) flushPartials(parts []tuple.Partial) {
-	wk.m.PartialsSent += int64(len(parts))
-	for _, pt := range parts {
-		d := pt.Key.Dest(wk.cfg.Workers)
-		b := wk.outPart[d]
-		if b == nil {
-			b = wk.pools.getPart()
-			wk.outPart[d] = b
-		}
-		b.ps = append(b.ps, pt)
-		if len(b.ps) >= wk.cfg.Batch {
-			wk.inboxes[d] <- message{src: wk.id, part: b}
-			wk.outPart[d] = nil
-		}
-	}
-}
-
 // flushAll sends every partially-filled batch.
 func (wk *worker) flushAll() {
 	for d := range wk.inboxes {
-		if b := wk.outRaw[d]; b != nil {
-			if len(b.ts) > 0 {
-				wk.inboxes[d] <- message{src: wk.id, raw: b}
-			} else {
-				wk.pools.raw.Put(b)
-			}
-			wk.outRaw[d] = nil
-		}
-		if b := wk.outPart[d]; b != nil {
-			if len(b.ps) > 0 {
-				wk.inboxes[d] <- message{src: wk.id, part: b}
-			} else {
-				wk.pools.part.Put(b)
-			}
-			wk.outPart[d] = nil
-		}
 		if b := wk.outRawC[d]; b != nil {
 			if b.b.Len() > 0 {
 				wk.inboxes[d] <- message{src: wk.id, craw: b}

@@ -46,6 +46,7 @@ func TestAllAlgorithmsAllWorkloads(t *testing.T) {
 		{Workers: 8, TableEntries: 1000}, // mild pressure
 		{Workers: 1},                     // degenerate single worker
 		{Workers: 3, Batch: 7},           // odd batch boundaries
+		{Workers: 4, TableEntries: 8},    // bound so tight refusals dominate
 	}
 	for _, alg := range Algorithms() {
 		for wi, rel := range workloads {

@@ -24,12 +24,34 @@ func encodeSorted(ps []tuple.Partial) []byte {
 	return out
 }
 
+// sequentialOracle folds the input into one unbounded aggtable.Table and
+// returns its group count and encodeSorted bytes: the result every
+// algorithm must reproduce exactly.
+func sequentialOracle(in []tuple.Tuple) (int, []byte) {
+	oracle := aggtable.New(0)
+	for _, tp := range in {
+		oracle.UpdateRaw(tp)
+	}
+	return oracle.Len(), encodeSorted(oracle.Drain())
+}
+
+// resultBytes renders an engine result in the oracle's byte form.
+func resultBytes(res *Result) []byte {
+	got := make([]tuple.Partial, 0, len(res.Groups))
+	for k, s := range res.Groups {
+		got = append(got, tuple.Partial{Key: k, State: s})
+	}
+	return encodeSorted(got)
+}
+
 // TestMergeOverflowDifferential drives every merge side past its bound:
 // each worker owns far more groups than TableEntries, so the merge table
 // fills early and the rest of its groups fold into the overflow table.
 // The two drains must be disjoint (no "produced by two workers" error)
 // and together byte-identical to a sequential aggtable fold, on every
-// algorithm and both scan paths.
+// algorithm. The scalar=true leg reruns each case tuple at a time
+// (Batch 1): every fold, refusal, adaptive trigger and exchange message
+// then covers a single tuple, the finest chunking the data plane has.
 func TestMergeOverflowDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,28 +70,21 @@ func TestMergeOverflowDifferential(t *testing.T) {
 			Batch:        []int{0, 7, 256}[rng.Intn(3)],
 		}
 
-		oracle := aggtable.New(0)
-		for _, tp := range in {
-			oracle.UpdateRaw(tp)
-		}
-		wantN := oracle.Len()
-		want := encodeSorted(oracle.Drain())
+		wantN, want := sequentialOracle(in)
 
 		for _, alg := range Algorithms() {
 			for _, scalar := range []bool{false, true} {
 				t.Run(fmt.Sprintf("seed%d/%v/scalar=%v", seed, alg, scalar), func(t *testing.T) {
 					c := cfg
-					c.ScalarPath = scalar
+					if scalar {
+						c.Batch = 1
+					}
 					res, err := Aggregate(c, in, alg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := make([]tuple.Partial, 0, len(res.Groups))
-					for k, s := range res.Groups {
-						got = append(got, tuple.Partial{Key: k, State: s})
-					}
-					if !bytes.Equal(encodeSorted(got), want) {
-						t.Fatalf("%d groups differ from the sequential oracle's %d", len(got), wantN)
+					if !bytes.Equal(resultBytes(res), want) {
+						t.Fatalf("%d groups differ from the sequential oracle's %d", len(res.Groups), wantN)
 					}
 					if alg == Shared || alg == AdaptiveShared {
 						return // merge sides see little or no traffic

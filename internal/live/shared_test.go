@@ -154,9 +154,10 @@ func TestSharedContentionPredicate(t *testing.T) {
 	}
 }
 
-// TestSharedContentionWindowResets drives sharedStep directly (no
-// concurrency, so nothing contends) and checks the window bookkeeping
-// rolls over without tripping the flag.
+// TestSharedContentionWindowResets drives sharedChunk directly (no
+// concurrency, so nothing contends) in 3-tuple chunks that straddle the
+// 8-fold window, and checks the window bookkeeping rolls over without
+// tripping the flag.
 func TestSharedContentionWindowResets(t *testing.T) {
 	var flag atomic.Bool
 	wk := &worker{
@@ -166,9 +167,14 @@ func TestSharedContentionWindowResets(t *testing.T) {
 		m:        &WorkerMetrics{},
 		shared:   aggtable.NewShared(0, 0),
 	}
-	for i := 0; i < 20; i++ {
-		if !wk.sharedStep(tuple.Tuple{Key: tuple.Key(i), Val: 1}) {
-			t.Fatalf("uncontended sharedStep %d not absorbed", i)
+	in := make([]tuple.Tuple, 20)
+	for i := range in {
+		in[i] = tuple.Tuple{Key: tuple.Key(i), Val: 1}
+	}
+	for off := 0; off < len(in); off += 3 {
+		seg := in[off:min(off+3, len(in))]
+		if left, fell := wk.sharedChunk(seg); fell || len(left) != 0 {
+			t.Fatalf("uncontended chunk at %d not absorbed: %d left, fell back %v", off, len(left), fell)
 		}
 	}
 	if wk.fallback.Load() {
@@ -176,6 +182,9 @@ func TestSharedContentionWindowResets(t *testing.T) {
 	}
 	if wk.sharedSeen >= 8 {
 		t.Errorf("window never reset: sharedSeen = %d", wk.sharedSeen)
+	}
+	if n := wk.shared.Len(); n != len(in) {
+		t.Errorf("shared table holds %d groups, want %d", n, len(in))
 	}
 }
 
