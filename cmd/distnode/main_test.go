@@ -35,8 +35,36 @@ func freeAddrs(t *testing.T, n int) []string {
 }
 
 // scrape fetches /metrics and parses the Prometheus text exposition
-// into series → value, failing the test on any malformed line.
+// into series → value, failing the test on any malformed line or an
+// exposition without samples.
 func scrape(t *testing.T, addr string) map[string]int64 {
+	t.Helper()
+	series := scrapeSeries(t, addr)
+	if len(series) == 0 {
+		t.Fatal("scrape returned no samples")
+	}
+	return series
+}
+
+// scrapeUntilSamples scrapes until the exposition carries at least one
+// sample: the endpoint can come up before the node has registered any.
+// It fails the test if none has appeared by the deadline.
+func scrapeUntilSamples(t *testing.T, addr string, deadline time.Time) map[string]int64 {
+	t.Helper()
+	for {
+		if series := scrapeSeries(t, addr); len(series) > 0 {
+			return series
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("scrape returned no samples")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// scrapeSeries fetches and parses one exposition, failing the test on
+// any malformed line. The result may be empty.
+func scrapeSeries(t *testing.T, addr string) map[string]int64 {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -77,9 +105,6 @@ func scrape(t *testing.T, addr string) map[string]int64 {
 			t.Fatalf("duplicate series %q", name)
 		}
 		series[name] = v
-	}
-	if len(series) == 0 {
-		t.Fatal("scrape returned no samples")
 	}
 	return series
 }
@@ -132,14 +157,17 @@ func TestThreeNodeScrape(t *testing.T) {
 		codes[0] = run(args, io.Discard, io.Discard)
 	}()
 
+	// One 10 s budget covers the endpoint coming up and its first
+	// non-empty scrape.
+	deadline := time.Now().Add(10 * time.Second)
 	var metricsAddr string
 	select {
 	case metricsAddr = <-ready:
-	case <-time.After(10 * time.Second):
+	case <-time.After(time.Until(deadline)):
 		t.Fatal("metrics endpoint never came up")
 	}
 
-	first := scrape(t, metricsAddr)
+	first := scrapeUntilSamples(t, metricsAddr, deadline)
 
 	// Wait until the other nodes' queries complete; the distributed
 	// barrier means node 0's query is finished too, and its linger

@@ -29,7 +29,7 @@
 //
 // Scoped to internal/live and internal/dist — the exchange layers;
 // internal/live recycles its columnar colRawBatch/colPartBatch
-// exchange buffers through per-run pools.
+// exchange buffers through process-wide pools, one set per batch size.
 package pooluse
 
 import (

@@ -36,6 +36,15 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 	w := wk.cfg.Workers
 	wk.outRawC = make([]*colRawBatch, w)
 	wk.outPartC = make([]*colPartBatch, w)
+	// The staging batch borrows a pooled raw holder's columns for the
+	// scan. A chunk never exceeds cfg.Batch, so the columns never grow
+	// and the holder goes back with the pool's capacity.
+	stage := wk.pools.getColRaw()
+	wk.scanB = stage.b
+	defer func() {
+		wk.scanB = tuple.Batch{}
+		wk.pools.colRaw.Put(stage)
+	}()
 	local := aggtable.New(wk.cfg.TableEntries)
 	mode := modeLocal
 	switch wk.alg {

@@ -21,9 +21,10 @@
 // The engine has one data plane, and it is allocation-free in steady
 // state: worker tables are internal/aggtable open-addressing tables folded
 // a columnar chunk at a time (UpdateBatch/MergeBatch), and exchange
-// messages are columnar batches recycled through sync.Pools — the merge
-// side returns each batch to the pool after folding it, so after warm-up
-// the scan sides append into recycled buffers instead of allocating.
+// messages are columnar batches recycled through process-wide sync.Pools
+// — the merge side returns each batch to the pool after folding it, so
+// after warm-up the scan sides append into recycled buffers instead of
+// allocating, within a run and across runs.
 package live
 
 import (
@@ -189,12 +190,38 @@ type Result struct {
 type colRawBatch struct{ b tuple.Batch }
 type colPartBatch struct{ pb tuple.PartialBatch }
 
-// exchangePools recycles exchange batches for one run. Pools are per-run,
-// not global, so every pooled buffer has exactly cfg.Batch capacity and
-// the allocations die with the run.
+// exchangePools recycles the exchange batches of one batch size. The
+// pools are process-wide, one set per batch size (poolsFor), so every
+// pooled buffer has exactly cfg.Batch capacity and a run's fixed cost
+// does not grow with cfg.Batch: a run reuses what earlier runs with the
+// same batch size returned instead of allocating its own. sync.Pool
+// still releases buffers that stay idle across two GC cycles.
 type exchangePools struct {
 	colRaw  sync.Pool
 	colPart sync.Pool
+}
+
+// poolSet holds the process-wide exchange pools, keyed by batch size.
+type poolSet struct {
+	mu sync.Mutex
+	//aggvet:guard mu
+	byBatch map[int]*exchangePools
+}
+
+var exchangePoolSet = poolSet{byBatch: map[int]*exchangePools{}}
+
+// poolsFor returns the exchange pools for batch, creating them on first
+// use.
+func poolsFor(batch int) *exchangePools {
+	s := &exchangePoolSet
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.byBatch[batch]
+	if p == nil {
+		p = newExchangePools(batch)
+		s.byBatch[batch] = p
+	}
+	return p
 }
 
 func newExchangePools(batch int) *exchangePools {
@@ -286,7 +313,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	for i := range inboxes {
 		inboxes[i] = make(chan message, 2*w)
 	}
-	pools := newExchangePools(cfg.Batch)
+	pools := poolsFor(cfg.Batch)
 	var scanners sync.WaitGroup
 	scanners.Add(w)
 	go func() {
@@ -441,9 +468,9 @@ type worker struct {
 	outPartC []*colPartBatch
 
 	// Scan scratch: the columnar staging batch the scan side folds
-	// chunks through, the reusable refusal index list, and the
-	// shared table's partition scratch. All reach 0 allocs/op after the
-	// first chunk.
+	// chunks through (borrowed from the exchange pool for the scan), the
+	// reusable refusal index list, and the shared table's partition
+	// scratch. All reach 0 allocs/op after the first chunk.
 	//
 	//aggvet:owner scan
 	scanB tuple.Batch

@@ -11,13 +11,17 @@
 //	[HAVING  predicate]
 //
 // Group-by values are mapped to dense 64-bit keys through an injective
-// dictionary, each aggregated column becomes one engine pass, and the
-// passes are stitched back into a result table. SQL NULL semantics are
-// honoured: aggregates ignore NULL inputs, COUNT(*) counts rows, and a
-// group whose aggregated column is entirely NULL yields NULL.
+// dictionary: each row's group-by cells are encoded once into a compact
+// binary normalized key (tagged, length-prefixed bytes, never formatted
+// text), and only a key the dictionary has not seen allocates. Each
+// aggregated column becomes one engine pass, and the passes are stitched
+// back into a result table. SQL NULL semantics are honoured: aggregates
+// ignore NULL inputs, COUNT(*) counts rows, and a group whose aggregated
+// column is entirely NULL yields NULL.
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -166,8 +170,8 @@ type Query struct {
 	OrderBy string
 	Desc    bool
 	// Limit truncates the result to the first Limit rows (after OrderBy
-	// and Having). 0 means no limit. Together with OrderBy this is the
-	// SQL top-k idiom.
+	// and Having). 0 means no limit; a negative Limit is an error.
+	// Together with OrderBy this is the SQL top-k idiom.
 	Limit int
 }
 
@@ -204,6 +208,9 @@ func (q Query) validate(s Schema) error {
 	}
 	for _, a := range q.Aggs {
 		if a.Func == CountStar {
+			if a.Distinct {
+				return fmt.Errorf("query: DISTINCT is not supported for COUNT(*)")
+			}
 			continue
 		}
 		i := s.Index(a.Col)
@@ -217,46 +224,73 @@ func (q Query) validate(s Schema) error {
 			return fmt.Errorf("query: DISTINCT is only supported for COUNT and SUM, not %v", a.Func)
 		}
 	}
+	if q.OrderBy != "" && !q.hasResultCol(q.OrderBy) {
+		return fmt.Errorf("query: ORDER BY column %q not in the result", q.OrderBy)
+	}
+	if q.Limit < 0 {
+		return fmt.Errorf("query: negative LIMIT %d", q.Limit)
+	}
 	return nil
 }
 
+// hasResultCol reports whether name is a result column: a group-by
+// column or an aggregate's output name.
+func (q Query) hasResultCol(name string) bool {
+	for _, g := range q.GroupBy {
+		if g == name {
+			return true
+		}
+	}
+	for _, a := range q.Aggs {
+		if a.outName() == name {
+			return true
+		}
+	}
+	return false
+}
+
 // keyDict maps composite group-by cell tuples to dense engine keys and
-// back. Encoding is injective: cells are tagged and length-prefixed.
+// back. A tuple's key is its binary normalized key: per cell, 'n' for
+// NULL, 's' + uvarint length + bytes for a string, 'i' + 8 little-endian
+// bytes for an integer. Tags and length prefixes make the encoding
+// injective, and it is built in a buffer the dictionary owns, so looking
+// up a key already seen allocates nothing.
 type keyDict struct {
 	fwd  map[string]tuple.Key
 	back []Row
+	buf  []byte
 }
 
 func newKeyDict() *keyDict { return &keyDict{fwd: make(map[string]tuple.Key)} }
 
 func (d *keyDict) encode(cells Row) tuple.Key {
-	var b strings.Builder
+	b := d.buf[:0]
 	for _, c := range cells {
 		switch {
 		case c.Null:
-			b.WriteByte('n')
+			b = append(b, 'n')
 		case c.Str != "":
-			fmt.Fprintf(&b, "s%d:%s", len(c.Str), c.Str)
+			b = append(b, 's')
+			b = binary.AppendUvarint(b, uint64(len(c.Str)))
+			b = append(b, c.Str...)
 		default:
-			fmt.Fprintf(&b, "i%d", c.Int)
+			b = append(b, 'i')
+			b = binary.LittleEndian.AppendUint64(b, uint64(c.Int))
 		}
-		b.WriteByte(';')
 	}
-	s := b.String()
-	if k, ok := d.fwd[s]; ok {
+	d.buf = b
+	if k, ok := d.fwd[string(b)]; ok {
 		return k
 	}
 	k := tuple.Key(len(d.back))
-	d.fwd[s] = k
+	d.fwd[string(b)] = k
 	d.back = append(d.back, append(Row(nil), cells...))
 	return k
 }
 
-// encodedRow pairs a source row with its dense group key.
-type encodedRow struct {
-	key tuple.Key
-	row Row
-}
+// dropped marks a row the WHERE clause rejected. Dictionary keys are
+// dense (0..G-1), so it never collides with a group.
+const dropped = ^tuple.Key(0)
 
 // Execute runs the query on the table using the live parallel engine with
 // the given configuration and algorithm.
@@ -270,19 +304,27 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		gidx[i] = t.Schema.Index(g)
 	}
 
-	// Encode group keys once, applying WHERE.
+	// Encode group keys once, applying WHERE: keys[i] is row i's group,
+	// or dropped.
 	dict := newKeyDict()
-	enc := make([]encodedRow, 0, len(t.Rows))
+	keys := make([]tuple.Key, len(t.Rows))
 	cells := make(Row, len(gidx))
-	for _, r := range t.Rows {
+	selected := 0
+	for i, r := range t.Rows {
 		if q.Where != nil && !q.Where(r) {
+			keys[i] = dropped
 			continue
 		}
-		for i, gi := range gidx {
-			cells[i] = r[gi]
+		for j, gi := range gidx {
+			cells[j] = r[gi]
 		}
-		enc = append(enc, encodedRow{key: dict.encode(cells), row: r})
+		keys[i] = dict.encode(cells)
+		selected++
 	}
+
+	// Every pass refills this one input buffer; live.Aggregate does not
+	// retain its input.
+	in := make([]tuple.Tuple, 0, selected)
 
 	// One engine pass per distinct aggregated column, plus a row-count
 	// pass whenever COUNT(*) is requested or no column pass exists (pure
@@ -307,17 +349,21 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		needRowCount = true
 	}
 	runPass := func(col int) (passState, error) {
-		in := make([]tuple.Tuple, 0, len(enc))
-		for _, er := range enc {
+		in = in[:0]
+		for i := range t.Rows {
+			k := keys[i]
+			if k == dropped {
+				continue
+			}
 			v := int64(0)
 			if col >= 0 {
-				cell := er.row[col]
+				cell := t.Rows[i][col]
 				if cell.Null {
 					continue // SQL aggregates ignore NULLs
 				}
 				v = cell.Int
 			}
-			in = append(in, tuple.Tuple{Key: er.key, Val: v})
+			in = append(in, tuple.Tuple{Key: k, Val: v})
 		}
 		res, err := live.Aggregate(cfg, in, alg)
 		if err != nil {
@@ -363,19 +409,23 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		cd := newKeyDict()
 		var backGroup []tuple.Key
 		var backVal []int64
-		in := make([]tuple.Tuple, 0, len(enc))
+		in = in[:0]
 		pair := make(Row, 2)
-		for _, er := range enc {
-			cell := er.row[col]
+		for i := range t.Rows {
+			k := keys[i]
+			if k == dropped {
+				continue
+			}
+			cell := t.Rows[i][col]
 			if cell.Null {
 				continue
 			}
-			pair[0] = IntVal(int64(er.key))
+			pair[0] = IntVal(int64(k))
 			pair[1] = cell
 			before := len(cd.back)
 			ck := cd.encode(pair)
 			if len(cd.back) > before { // first sighting of this pair
-				backGroup = append(backGroup, er.key)
+				backGroup = append(backGroup, k)
 				backVal = append(backVal, cell.Int)
 			}
 			in = append(in, tuple.Tuple{Key: ck, Val: cell.Int})
@@ -405,15 +455,15 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	// Every dictionary entry was minted by a surviving input row, so the
 	// dense key space 0..G-1 IS the union of groups across passes (a
 	// group whose aggregated column is entirely NULL still exists).
-	keys := make([]tuple.Key, 0, G)
+	order := make([]tuple.Key, 0, G)
 	for k := 0; k < G; k++ {
-		keys = append(keys, tuple.Key(k))
+		order = append(order, tuple.Key(k))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return lessRow(dict.back[keys[i]], dict.back[keys[j]])
+	sort.Slice(order, func(i, j int) bool {
+		return lessRow(dict.back[order[i]], dict.back[order[j]])
 	})
 
-	for _, k := range keys {
+	for _, k := range order {
 		row := append(Row(nil), dict.back[k]...)
 		for _, a := range q.Aggs {
 			if a.Distinct {
@@ -436,10 +486,7 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		out.Rows = append(out.Rows, row)
 	}
 	if q.OrderBy != "" {
-		col := out.Schema.Index(q.OrderBy)
-		if col < 0 {
-			return nil, fmt.Errorf("query: ORDER BY column %q not in the result", q.OrderBy)
-		}
+		col := out.Schema.Index(q.OrderBy) // validate checked it exists
 		sort.SliceStable(out.Rows, func(i, j int) bool {
 			a, b := Row{out.Rows[i][col]}, Row{out.Rows[j][col]}
 			if q.Desc {
@@ -454,7 +501,7 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	if r := cfg.Obs; r != nil {
 		r.Counter("sql_queries_total", "queries executed").Inc()
 		r.Counter("sql_rows_in_total", "table rows read (before WHERE)").Add(int64(len(t.Rows)))
-		r.Counter("sql_rows_selected_total", "rows surviving the WHERE clause").Add(int64(len(enc)))
+		r.Counter("sql_rows_selected_total", "rows surviving the WHERE clause").Add(int64(selected))
 		r.Counter("sql_groups_out_total", "result rows produced (after HAVING and LIMIT)").Add(int64(len(out.Rows)))
 	}
 	return out, nil

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -328,23 +330,52 @@ func TestAggFuncNames(t *testing.T) {
 	}
 }
 
+// q1Sink keeps BenchmarkQueryQ1Shape's result live.
+var q1Sink *Result
+
+// BenchmarkQueryQ1Shape is the TPC-D Q1 shape perfbench's sql-q1
+// workload runs: 64 Ki lineitem rows, GROUP BY the returnflag and
+// linestatus strings (6 groups), a WHERE on shipdate keeping about 98% of
+// the rows, and six aggregates. It times the query layer's per-row work
+// (key encoding, pass inputs, result assembly) together with its engine
+// passes.
 func BenchmarkQueryQ1Shape(b *testing.B) {
+	flags, statuses := []string{"A", "N", "R"}, []string{"F", "O"}
+	rng := rand.New(rand.NewSource(1))
 	tab := &Table{Schema: Schema{Cols: []Column{
-		{Name: "flag", Type: Int64}, {Name: "qty", Type: Int64},
+		{Name: "returnflag", Type: String}, {Name: "linestatus", Type: String},
+		{Name: "quantity", Type: Int64}, {Name: "price", Type: Int64},
+		{Name: "discount", Type: Int64}, {Name: "shipdate", Type: Int64},
 	}}}
-	for i := 0; i < 50_000; i++ {
-		tab.Append(Row{IntVal(int64(i % 6)), IntVal(int64(i % 50))})
+	for i := 0; i < 64<<10; i++ {
+		tab.Append(Row{
+			StrVal(flags[rng.Intn(len(flags))]), StrVal(statuses[rng.Intn(len(statuses))]),
+			IntVal(int64(1 + rng.Intn(50))), IntVal(int64(100 + rng.Intn(99_901))),
+			IntVal(int64(rng.Intn(11))), IntVal(int64(rng.Intn(2557))),
+		})
 	}
 	q := Query{
-		GroupBy: []string{"flag"},
-		Aggs:    []Agg{{Func: CountStar}, {Func: Sum, Col: "qty"}, {Func: Avg, Col: "qty"}},
+		GroupBy: []string{"returnflag", "linestatus"},
+		Aggs: []Agg{
+			{Func: CountStar, As: "count_order"},
+			{Func: Sum, Col: "quantity", As: "sum_qty"},
+			{Func: Sum, Col: "price", As: "sum_base_price"},
+			{Func: Avg, Col: "quantity", As: "avg_qty"},
+			{Func: Avg, Col: "discount", As: "avg_disc"},
+			{Func: Max, Col: "price", As: "max_price"},
+		},
+		Where: func(r Row) bool { return r[5].Int <= 2505 },
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(tab, q, live.Config{}, live.AdaptiveTwoPhase); err != nil {
+		res, err := Execute(tab, q, live.Config{}, live.AdaptiveTwoPhase)
+		if err != nil {
 			b.Fatal(err)
 		}
+		q1Sink = res
 	}
+	b.ReportMetric(float64(len(tab.Rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func ExampleExecute() {
@@ -497,5 +528,36 @@ func TestDistinctOutputName(t *testing.T) {
 	a := Agg{Func: Count, Col: "v", Distinct: true}
 	if a.outName() != "count_distinct_v" {
 		t.Errorf("outName = %q", a.outName())
+	}
+}
+
+// TestValidateRejects pins one rejection per validation rule, each
+// caught before any engine pass runs, by the words its error must name.
+func TestValidateRejects(t *testing.T) {
+	group := []string{"returnflag"}
+	cases := []struct {
+		name string
+		q    Query
+		want string
+	}{
+		{"empty query", Query{}, "neither group-by columns nor aggregates"},
+		{"unknown group-by column", Query{GroupBy: []string{"nope"}}, "unknown group-by column"},
+		{"unknown aggregate column", Query{GroupBy: group, Aggs: []Agg{{Func: Sum, Col: "nope"}}}, "unknown aggregate column"},
+		{"non-numeric aggregate", Query{GroupBy: group, Aggs: []Agg{{Func: Sum, Col: "linestatus"}}}, "non-numeric"},
+		{"DISTINCT MIN", Query{GroupBy: group, Aggs: []Agg{{Func: Min, Col: "quantity", Distinct: true}}}, "DISTINCT"},
+		{"DISTINCT COUNT(*)", Query{GroupBy: group, Aggs: []Agg{{Func: CountStar, Distinct: true}}}, "DISTINCT"},
+		{"unknown ORDER BY column", Query{GroupBy: group, Aggs: []Agg{{Func: CountStar}}, OrderBy: "quantity"}, "ORDER BY"},
+		{"negative LIMIT", Query{GroupBy: group, Aggs: []Agg{{Func: CountStar}}, Limit: -1}, "LIMIT"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Execute(lineitems(), c.q, live.Config{Workers: 2}, live.TwoPhase)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not name %q", err, c.want)
+			}
+		})
 	}
 }
