@@ -22,14 +22,16 @@
 //     budget M with the exact hashtab.Table refusal contract.
 //
 // Determinism contract: slot order is a function of hash values and
-// insertion history, so it is only ever exposed through AppendDrain,
-// whose callers must not let it reach anything observable. Partials,
-// Drain and EvictBuckets sort by key, so everything downstream of them
-// (wire frames, simulator events, aggsim -dump) is byte-identical across
-// same-seed runs. The simulator and the dist layer drain through the
-// sorted calls. The live engine drains through AppendDrain: its result
-// is a map, and a merge folds partials in any order to the same state
-// because AggState folds are commutative and associative.
+// insertion history, so it is only ever exposed through AppendDrain.
+// Partials, Drain and EvictBuckets sort by key, so everything downstream
+// of them (simulator events, aggsim -dump) is byte-identical across
+// same-seed runs; the simulator drains through the sorted calls. The
+// live engine and the dist layer drain through AppendDrain: a merge folds
+// partials in any order to the same state because AggState folds are
+// commutative and associative. Key.Hash is unseeded, so a table fed the
+// same tuples in the same order drains in the same slot order on every
+// run; the dist layer relies on that to ship partials unsorted and still
+// put the same bytes on the wire.
 package aggtable
 
 import (

@@ -23,15 +23,14 @@ package dist
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/obs"
 	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
@@ -426,23 +425,15 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	// first peer error the merge loop records it and cancels, which fails
 	// the scan side's next write and unblocks every accepter.
 	var fallback atomic.Bool
-	merged := make(map[tuple.Key]tuple.AggState)
+	merged := aggtable.New(0)
 	var mergeErr error
 	var mergeDone sync.WaitGroup
 	mergeDone.Add(1)
 	go func() {
 		defer mergeDone.Done()
 		mergeSpan := cfg.Tracer.Begin(cfg.ID, "merge")
-		defer func() { mergeSpan.End(fmt.Sprintf("%d groups", len(merged))) }()
+		defer func() { mergeSpan.End(fmt.Sprintf("%d groups", merged.Len())) }()
 		eos := 0
-		absorb := func(pt tuple.Partial) {
-			if s, ok := merged[pt.Key]; ok {
-				s.Merge(pt.State)
-				merged[pt.Key] = s
-			} else {
-				merged[pt.Key] = pt.State
-			}
-		}
 		for eos < n {
 			var in incoming
 			select {
@@ -470,11 +461,11 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				fallback.Store(true)
 			case frameRaw, frameRawCol:
 				for _, t := range in.f.raw {
-					absorb(tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)})
+					merged.UpdateRaw(t)
 				}
 			case framePartial, framePartialCol:
 				for _, pt := range in.f.partials {
-					absorb(pt)
+					merged.MergePartial(pt)
 				}
 			default:
 				// readFrame rejects kinds outside the fail-fast dialect, so
@@ -516,20 +507,11 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	// Sanity: every merged group must hash to this node. Track the
-	// smallest offending key so the error is the same on every run.
-	misrouted := false
-	var badKey tuple.Key
-	for k := range merged {
-		if k.Dest(n) != cfg.ID && (!misrouted || k < badKey) {
-			misrouted, badKey = true, k
-		}
+	groups, err := ownedGroups(cfg.ID, n, merged.AppendDrain(nil), func(r int) int { return r })
+	if err != nil {
+		return nil, err
 	}
-	if misrouted {
-		return nil, nodeErr(cfg.ID, badKey.Dest(n), PhaseMerge,
-			fmt.Errorf("received group %d owned by node %d", badKey, badKey.Dest(n)))
-	}
-	res.Groups = merged
+	res.Groups = groups
 	res.Switched = switched
 	return res, nil
 }
@@ -605,8 +587,7 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 // this side sets it (and broadcasts) when its own observation triggers.
 func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic.Bool, res *NodeResult, m *metrics) (bool, error) {
 	n := len(peers)
-	local := make(map[tuple.Key]tuple.AggState)
-	bound := cfg.TableEntries
+	local := newNodeTable(cfg.TableEntries, n)
 	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
 	switched := false
 
@@ -635,24 +616,12 @@ func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic
 		}
 		return nil
 	}
-	flushPartials := func() error {
-		partBuf := make([][]tuple.Partial, n)
-		for k, s := range local {
-			d := k.Dest(n)
-			partBuf[d] = append(partBuf[d], tuple.Partial{Key: k, State: s})
+	dest := func(k tuple.Key) int { return k.Dest(n) }
+	writePartials := func(d int, ps []tuple.Partial) error {
+		if err := peers[d].writePartials(ps); err != nil {
+			return nodeErr(cfg.ID, d, PhaseWrite, err)
 		}
-		for d := 0; d < n; d++ {
-			// partBuf[d] was filled in map order; fix the wire order so a
-			// same-seed run ships byte-identical frames.
-			slices.SortFunc(partBuf[d], func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
-			if len(partBuf[d]) > 0 {
-				if err := peers[d].writePartials(partBuf[d]); err != nil {
-					return nodeErr(cfg.ID, d, PhaseWrite, err)
-				}
-				res.PartialsSent += int64(len(partBuf[d]))
-			}
-		}
-		local = make(map[tuple.Key]tuple.AggState)
+		res.PartialsSent += int64(len(ps))
 		return nil
 	}
 
@@ -694,38 +663,33 @@ func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic
 			}
 			continue
 		}
-		if s, ok := local[t.Key]; ok {
-			s.Update(t.Val)
-			local[t.Key] = s
+		if local.fold(t) {
 			continue
 		}
-		if bound > 0 && len(local) >= bound {
-			switch cfg.Algorithm {
-			case AdaptiveTwoPhase, AdaptiveRepartitioning:
-				// The A-2P switch, over a real network this time.
-				if err := flushPartials(); err != nil {
-					return switched, err
-				}
-				routing = true
-				switched = true
-				observing = false
-				m.switched("repart")
-				if err := shipRaw(t); err != nil {
-					return switched, err
-				}
-				continue
-			default:
-				// Plain 2P with a hard bound: evict the full table as
-				// partials (a memory-pressure flush) and keep going.
-				if err := flushPartials(); err != nil {
-					return switched, err
-				}
-			}
+		// A new group and a full table: ship the table as partials. The
+		// table only grows between flushes, so its fill here is the
+		// high-water mark.
+		m.occupancy(local.t.Len(), cfg.TableEntries)
+		if err := local.flush(dest, writePartials); err != nil {
+			return switched, err
 		}
-		local[t.Key] = tuple.NewState(t.Val)
-		m.occupancy(len(local), bound)
+		if cfg.Algorithm == AdaptiveTwoPhase || cfg.Algorithm == AdaptiveRepartitioning {
+			// The A-2P switch, over a real network this time.
+			routing = true
+			switched = true
+			observing = false
+			m.switched("repart")
+			if err := shipRaw(t); err != nil {
+				return switched, err
+			}
+			continue
+		}
+		// Plain 2P with a hard bound: the flush was a memory-pressure
+		// eviction; keep going with an empty table.
+		local.fold(t)
 	}
-	if err := flushPartials(); err != nil {
+	m.occupancy(local.t.Len(), cfg.TableEntries)
+	if err := local.flush(dest, writePartials); err != nil {
 		return switched, err
 	}
 	for d := 0; d < n; d++ {
@@ -800,7 +764,7 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 		}()
 	}
 	wg.Wait()
-	out := &ClusterResult{Groups: make(map[tuple.Key]tuple.AggState)}
+	out := &ClusterResult{}
 	if template.Tolerate {
 		// Tolerant combine: the supervisor (node 0) is the authority on who
 		// died. Its result must exist; errors from dead-declared nodes are
@@ -833,6 +797,13 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 			}
 		}
 	}
+	total := 0
+	for _, r := range results {
+		if r != nil {
+			total += len(r.Groups)
+		}
+	}
+	out.Groups = make(map[tuple.Key]tuple.AggState, total)
 	// Track the smallest duplicated key so a multi-duplicate bug reports
 	// the same group on every run.
 	dupFound := false

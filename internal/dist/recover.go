@@ -2,15 +2,14 @@ package dist
 
 import (
 	"bufio"
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/tuple"
 )
 
@@ -101,17 +100,8 @@ type slot struct {
 // pre-aggregated per key so staging is bounded by the group count rather
 // than the input size.
 type stage struct {
-	groups map[tuple.Key]tuple.AggState
+	groups *aggtable.Table
 	frames int64
-}
-
-func (st *stage) absorb(pt tuple.Partial) {
-	if s, ok := st.groups[pt.Key]; ok {
-		s.Merge(pt.State)
-		st.groups[pt.Key] = s
-	} else {
-		st.groups[pt.Key] = pt.State
-	}
 }
 
 // errPeerDown marks a write skipped because the peer was already marked
@@ -308,7 +298,7 @@ type tnode struct {
 	// post-join reads in runNodeTolerant) carry rationaled allows.
 	//
 	//aggvet:owner control
-	final map[tuple.Key]tuple.AggState
+	final *aggtable.Table
 	//aggvet:owner control
 	slots map[slotKey]*slot
 	//aggvet:owner control
@@ -369,7 +359,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		events:       make(chan tevent, 16*n),
 		jobs:         make(chan tjob, 2*n*n+8),
 		peers:        make([]*tpeer, n),
-		final:        make(map[tuple.Key]tuple.AggState),
+		final:        aggtable.New(0),
 		slots:        make(map[slotKey]*slot),
 		stages:       make(map[streamID]*stage),
 		pending:      make(map[streamID]bool),
@@ -613,23 +603,15 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	for _, st := range nd.stages {
 		nd.m.stale(st.frames)
 	}
-	// Sanity: every final group must hash to a range this node owns.
-	misrouted := false
-	var badKey tuple.Key
 	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	for k := range nd.final {
-		if nd.owner[k.Dest(nd.n)] != nd.id && (!misrouted || k < badKey) {
-			misrouted, badKey = true, k
-		}
-	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	if misrouted {
-		return nil, nodeErr(nd.id, nd.owner[badKey.Dest(nd.n)], PhaseMerge,
-			fmt.Errorf("received group %d owned by node %d", badKey, nd.owner[badKey.Dest(nd.n)]))
+	owner, final := nd.owner, nd.final.AppendDrain(nil)
+	groups, err := ownedGroups(nd.id, nd.n, final, func(r int) int { return owner[r] })
+	if err != nil {
+		return nil, err
 	}
 	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
 	res := &NodeResult{
-		Groups:       nd.final,
+		Groups:       groups,
 		Switched:     nd.switched,
 		RawSent:      nd.rawSent,
 		PartialsSent: nd.partialsSent,
@@ -787,8 +769,7 @@ func (nd *tnode) heartbeatLoop() {
 func (nd *tnode) scanPrimary() {
 	cfg := nd.cfg
 	n := nd.n
-	local := make(map[tuple.Key]tuple.AggState)
-	bound := cfg.TableEntries
+	local := newNodeTable(cfg.TableEntries, n)
 	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
 
 	observing := cfg.Algorithm == AdaptiveRepartitioning
@@ -813,23 +794,16 @@ func (nd *tnode) scanPrimary() {
 			rawBuf[d] = rawBuf[d][:0]
 		}
 	}
-	flushPartials := func() {
-		partBuf := make([][]tuple.Partial, n)
-		for k, s := range local {
-			d := nd.ownerOf(k)
-			partBuf[d] = append(partBuf[d], tuple.Partial{Key: k, State: s})
+	// writePartials never fails: shipFail marks the peer down and
+	// complains, and the slot algebra makes dropping the slice correct,
+	// so the flushes below discard flush's always-nil error.
+	writePartials := func(d int, ps []tuple.Partial) error {
+		if err := nd.peers[d].writePartialsT(nd.id, 0, ps); err != nil {
+			nd.shipFail(d, err)
+		} else {
+			nd.partialsSent += int64(len(ps))
 		}
-		for d := 0; d < n; d++ {
-			slices.SortFunc(partBuf[d], func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
-			if len(partBuf[d]) > 0 {
-				if err := nd.peers[d].writePartialsT(nd.id, 0, partBuf[d]); err != nil {
-					nd.shipFail(d, err)
-				} else {
-					nd.partialsSent += int64(len(partBuf[d]))
-				}
-			}
-		}
-		local = make(map[tuple.Key]tuple.AggState)
+		return nil
 	}
 
 	for _, t := range nd.part {
@@ -867,29 +841,23 @@ func (nd *tnode) scanPrimary() {
 			shipRaw(t)
 			continue
 		}
-		if s, ok := local[t.Key]; ok {
-			s.Update(t.Val)
-			local[t.Key] = s
+		if local.fold(t) {
 			continue
 		}
-		if bound > 0 && len(local) >= bound {
-			switch cfg.Algorithm {
-			case AdaptiveTwoPhase, AdaptiveRepartitioning:
-				flushPartials()
-				routing = true
-				nd.switched = true
-				observing = false
-				nd.m.switched("repart")
-				shipRaw(t)
-				continue
-			default:
-				flushPartials()
-			}
+		nd.m.occupancy(local.t.Len(), cfg.TableEntries)
+		_ = local.flush(nd.ownerOf, writePartials)
+		if cfg.Algorithm == AdaptiveTwoPhase || cfg.Algorithm == AdaptiveRepartitioning {
+			routing = true
+			nd.switched = true
+			observing = false
+			nd.m.switched("repart")
+			shipRaw(t)
+			continue
 		}
-		local[t.Key] = tuple.NewState(t.Val)
-		nd.m.occupancy(len(local), bound)
+		local.fold(t)
 	}
-	flushPartials()
+	nd.m.occupancy(local.t.Len(), cfg.TableEntries)
+	_ = local.flush(nd.ownerOf, writePartials)
 	for d := 0; d < n; d++ {
 		if len(rawBuf[d]) > 0 {
 			if err := nd.peers[d].writeRawT(nd.id, 0, rawBuf[d]); err != nil {
@@ -920,8 +888,7 @@ func (nd *tnode) runJob(j tjob) {
 		data = nd.cfg.PartitionSource(j.partition)
 	}
 	n := nd.n
-	bound := nd.cfg.TableEntries
-	local := make(map[tuple.Key]tuple.AggState)
+	local := newNodeTable(nd.cfg.TableEntries, n)
 	rawBuf := make([][]tuple.Tuple, n)
 	var shipped int64
 	degraded := false
@@ -945,23 +912,15 @@ func (nd *tnode) runJob(j tjob) {
 			rawBuf[d] = rawBuf[d][:0]
 		}
 	}
-	flushPartials := func() {
-		partBuf := make([][]tuple.Partial, n)
-		for k, s := range local {
-			partBuf[dest(k)] = append(partBuf[dest(k)], tuple.Partial{Key: k, State: s})
+	// As in scanPrimary, writePartials never fails and flush returns nil.
+	writePartials := func(d int, ps []tuple.Partial) error {
+		if err := nd.peers[d].writePartialsT(j.partition, j.epoch, ps); err != nil {
+			nd.shipFail(d, err)
+		} else {
+			shipped += int64(len(ps))
+			nd.partialsSent += int64(len(ps))
 		}
-		for d := 0; d < n; d++ {
-			slices.SortFunc(partBuf[d], func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
-			if len(partBuf[d]) > 0 {
-				if err := nd.peers[d].writePartialsT(j.partition, j.epoch, partBuf[d]); err != nil {
-					nd.shipFail(d, err)
-				} else {
-					shipped += int64(len(partBuf[d]))
-					nd.partialsSent += int64(len(partBuf[d]))
-				}
-			}
-		}
-		local = make(map[tuple.Key]tuple.AggState)
+		return nil
 	}
 
 	for _, t := range data {
@@ -969,25 +928,18 @@ func (nd *tnode) runJob(j tjob) {
 			continue
 		}
 		if !degraded {
-			if s, ok := local[t.Key]; ok {
-				s.Update(t.Val)
-				local[t.Key] = s
+			if local.fold(t) {
 				continue
 			}
-			if bound > 0 && len(local) >= bound {
-				// Memory pressure during recovery: flush what we have as
-				// partials and ship the remainder raw rather than refuse.
-				nd.m.downgrade()
-				degraded = true
-				flushPartials()
-			} else {
-				local[t.Key] = tuple.NewState(t.Val)
-				continue
-			}
+			// Memory pressure during recovery: flush what we have as
+			// partials and ship the remainder raw rather than refuse.
+			nd.m.downgrade()
+			degraded = true
+			_ = local.flush(dest, writePartials)
 		}
 		shipRaw(t)
 	}
-	flushPartials()
+	_ = local.flush(dest, writePartials)
 	for d := 0; d < n; d++ {
 		if len(rawBuf[d]) > 0 {
 			if err := nd.peers[d].writeRawT(j.partition, j.epoch, rawBuf[d]); err != nil {
@@ -1101,13 +1053,13 @@ func (nd *tnode) onFrame(ev tevent) {
 		st := nd.stage(f.stream())
 		st.frames++
 		for _, t := range f.raw {
-			st.absorb(tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)})
+			st.groups.UpdateRaw(t)
 		}
 	case framePartial, framePartialCol:
 		st := nd.stage(f.stream())
 		st.frames++
 		for _, pt := range f.partials {
-			st.absorb(pt)
+			st.groups.MergePartial(pt)
 		}
 	case frameEOS:
 		nd.tryCommit(f.stream())
@@ -1117,7 +1069,7 @@ func (nd *tnode) onFrame(ev tevent) {
 func (nd *tnode) stage(s streamID) *stage {
 	st, ok := nd.stages[s]
 	if !ok {
-		st = &stage{groups: make(map[tuple.Key]tuple.AggState)}
+		st = &stage{groups: aggtable.New(0)}
 		nd.stages[s] = st
 	}
 	return st
@@ -1410,15 +1362,9 @@ func (nd *tnode) tryCommit(s streamID) {
 		span.End(fmt.Sprintf("stale stream %s", s))
 		return
 	}
-	for key, state := range st.groups {
-		if !eligible[key.Dest(nd.n)] {
-			continue
-		}
-		if cur, ok := nd.final[key]; ok {
-			cur.Merge(state)
-			nd.final[key] = cur
-		} else {
-			nd.final[key] = state
+	for _, p := range st.groups.AppendDrain(nil) {
+		if eligible[p.Key.Dest(nd.n)] {
+			nd.final.MergePartial(p)
 		}
 	}
 	for k, sl := range nd.slots {

@@ -363,9 +363,20 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		}
 	}
 
+	// Size the result for every source that lands in it: under Shared the
+	// exchanged results are empty and the groups sit in the shared table
+	// and the overflow tables.
 	total := 0
 	for _, r := range results {
 		total += len(r)
+	}
+	if shared != nil {
+		total += shared.Len()
+		for _, wk := range workers {
+			if wk.sharedOv != nil {
+				total += wk.sharedOv.Len()
+			}
+		}
 	}
 	merged := make(map[tuple.Key]tuple.AggState, total)
 	for wi, r := range results {
