@@ -1,7 +1,7 @@
 GO ?= go
 AGGVET := bin/aggvet
 
-.PHONY: build test vet lint lint-fixtures race chaos check bench bench-json fuzz cover perfbench-smoke
+.PHONY: build test vet lint lint-fixtures race chaos check bench bench-json fuzz cover perfbench-smoke perfpairs
 
 build:
 	$(GO) build ./...
@@ -32,11 +32,12 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/dist/... ./internal/faultnet/...
 
-# Short fuzz sweep over the wire decoder and the fault-spec parser —
+# Short fuzz sweep over both wire decoders and the fault-spec parser —
 # the same smoke CI runs; use `go test -fuzz=... -fuzztime=10m` for a
 # real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 15s ./internal/dist/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeTFrame' -fuzztime 15s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseSpec' -fuzztime 15s ./internal/faultnet/
 	$(GO) test -run '^$$' -fuzz 'FuzzInsertMergeDrain' -fuzztime 15s ./internal/aggtable/
 	$(GO) test -run '^$$' -fuzz 'FuzzConcurrentInsertMerge' -fuzztime 15s ./internal/aggtable/
@@ -56,6 +57,18 @@ perfbench-smoke:
 	for w in $(PERFBENCH_WORKLOADS); do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
+
+# Parent-vs-change comparison on one workload: PAIRS alternating pairs of
+# RUN_SECONDS-long runs, this checkout against the checkout at PARENT
+# (make one with git clone or git archive). Prints the median, range and
+# win count of every end-to-end metric.
+WORKLOAD ?= dist-loopback
+PAIRS ?= 10
+RUN_SECONDS ?= 10
+
+perfpairs:
+	@test -n "$(PARENT)" || { echo "usage: make perfpairs PARENT=<parent checkout> [WORKLOAD=...] [PAIRS=...] [RUN_SECONDS=...]" >&2; exit 2; }
+	bash scripts/perfpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)"
 
 # What CI runs (CI additionally shuffles test order and runs
 # staticcheck/govulncheck, which need network access to install).

@@ -23,12 +23,12 @@ func TestColWireRawRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != frameRawCol || len(f.raw) != len(in) {
+	if f.kind != frameRawCol || len(f.tuples()) != len(in) {
 		t.Fatalf("frame = %+v", f)
 	}
 	for i := range in {
-		if f.raw[i] != in[i] {
-			t.Fatalf("record %d = %v, want %v", i, f.raw[i], in[i])
+		if f.tuples()[i] != in[i] {
+			t.Fatalf("record %d = %v, want %v", i, f.tuples()[i], in[i])
 		}
 	}
 }
@@ -47,12 +47,12 @@ func TestColWirePartialRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != framePartialCol || len(f.partials) != len(in) {
+	if f.kind != framePartialCol || len(f.partials()) != len(in) {
 		t.Fatalf("frame = %+v", f)
 	}
 	for i := range in {
-		if f.partials[i] != in[i] {
-			t.Fatalf("record %d = %v, want %v", i, f.partials[i], in[i])
+		if f.partials()[i] != in[i] {
+			t.Fatalf("record %d = %v, want %v", i, f.partials()[i], in[i])
 		}
 	}
 }
@@ -67,12 +67,12 @@ func TestColWireTolerantRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != frameRawCol || f.origin != 3 || f.epoch != 2 || len(f.raw) != 2 {
+	if f.kind != frameRawCol || f.origin != 3 || f.epoch != 2 || len(f.tuples()) != 2 {
 		t.Fatalf("frame = %+v", f)
 	}
 	for i := range ts {
-		if f.raw[i] != ts[i] {
-			t.Fatalf("record %d = %v, want %v", i, f.raw[i], ts[i])
+		if f.tuples()[i] != ts[i] {
+			t.Fatalf("record %d = %v, want %v", i, f.tuples()[i], ts[i])
 		}
 	}
 
@@ -85,7 +85,7 @@ func TestColWireTolerantRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != framePartialCol || f.origin != 1 || f.epoch != 0 || len(f.partials) != 1 || f.partials[0] != ps[0] {
+	if f.kind != framePartialCol || f.origin != 1 || f.epoch != 0 || len(f.partials()) != 1 || f.partials()[0] != ps[0] {
 		t.Fatalf("frame = %+v", f)
 	}
 }
@@ -166,11 +166,11 @@ func TestPeerColumnarWrites(t *testing.T) {
 	p.w.Flush()
 	r := bufio.NewReader(&buf)
 	f, err := readFrame(r)
-	if err != nil || f.kind != frameRawCol || len(f.raw) != 1 || f.raw[0] != (tuple.Tuple{Key: 1, Val: 2}) {
+	if err != nil || f.kind != frameRawCol || len(f.tuples()) != 1 || f.tuples()[0] != (tuple.Tuple{Key: 1, Val: 2}) {
 		t.Fatalf("raw frame = %+v, %v", f, err)
 	}
 	f, err = readFrame(r)
-	if err != nil || f.kind != framePartialCol || len(f.partials) != 1 {
+	if err != nil || f.kind != framePartialCol || len(f.partials()) != 1 {
 		t.Fatalf("partial frame = %+v, %v", f, err)
 	}
 }
@@ -194,11 +194,11 @@ func TestColWireMatchesRowWire(t *testing.T) {
 		}
 		fr, err1 := readFrame(bufio.NewReader(bytes.NewReader(row)))
 		fc, err2 := readFrame(bufio.NewReader(bytes.NewReader(col)))
-		if err1 != nil || err2 != nil || len(fr.raw) != len(fc.raw) {
+		if err1 != nil || err2 != nil || len(fr.tuples()) != len(fc.tuples()) {
 			return false
 		}
-		for i := range fr.raw {
-			if fr.raw[i] != fc.raw[i] {
+		for i := range fr.tuples() {
+			if fr.tuples()[i] != fc.tuples()[i] {
 				return false
 			}
 		}

@@ -85,7 +85,10 @@ type Config struct {
 	// adaptive switch then never fires).
 	TableEntries int
 
-	// Batch is the number of records per frame. Default 1024.
+	// Batch bounds the records per data frame, raw and partial alike: raw
+	// tuples ship as soon as a destination has Batch of them, and a table
+	// flush cuts each destination's partials into frames of at most Batch
+	// records. Default 1024; at most the 1,048,576-record wire limit.
 	Batch int
 
 	// Columnar encodes this node's raw/partial data frames in the
@@ -276,6 +279,16 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if cfg.ID < 0 || cfg.ID >= n {
 		return nil, fmt.Errorf("dist: node id %d out of range [0,%d)", cfg.ID, n)
 	}
+	// Configs the wire cannot carry fail here, before dialing, rather
+	// than on the first frame write.
+	if cfg.Batch > maxFrameRecords {
+		ln.Close()
+		return nil, fmt.Errorf("dist: Batch %d exceeds the %d-record wire limit", cfg.Batch, maxFrameRecords)
+	}
+	if cfg.Tolerate && n > maxTolerantNodes {
+		ln.Close()
+		return nil, fmt.Errorf("dist: Tolerate supports at most %d nodes (the tolerant header's origin is one byte), got %d", maxTolerantNodes, n)
+	}
 	if cfg.WrapListener != nil {
 		ln = cfg.WrapListener(ln)
 	}
@@ -372,7 +385,7 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 						send(incoming{err: nodeErr(cfg.ID, src, PhaseRead, err)})
 						return
 					}
-					m.recv(src, f.kind, len(f.raw)+len(f.partials))
+					m.recv(src, f.kind, f.records())
 					if !send(incoming{f: f}) {
 						return
 					}
@@ -454,25 +467,28 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				cancel()
 				return
 			}
-			switch in.f.kind {
+			f := in.f
+			switch f.kind {
 			case frameEOS:
 				eos++
 			case frameEOP:
 				fallback.Store(true)
 			case frameRaw, frameRawCol:
-				for _, t := range in.f.raw {
+				for _, t := range f.raw.ts {
 					merged.UpdateRaw(t)
 				}
+				rawHolders.Put(f.raw)
 			case framePartial, framePartialCol:
-				for _, pt := range in.f.partials {
+				for _, pt := range f.part.ps {
 					merged.MergePartial(pt)
 				}
+				partHolders.Put(f.part)
 			default:
 				// readFrame rejects kinds outside the fail-fast dialect, so
 				// reaching here means a tolerant-mode control frame leaked
 				// into a fail-fast cluster: abort rather than drop it.
 				mergeErr = &NodeError{NodeID: cfg.ID, Phase: PhaseMerge,
-					Err: fmt.Errorf("unexpected frame kind %d in fail-fast mode", in.f.kind)}
+					Err: fmt.Errorf("unexpected frame kind %d in fail-fast mode", f.kind)}
 				cancel()
 				return
 			}
@@ -587,7 +603,7 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 // this side sets it (and broadcasts) when its own observation triggers.
 func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic.Bool, res *NodeResult, m *metrics) (bool, error) {
 	n := len(peers)
-	local := newNodeTable(cfg.TableEntries, n)
+	local := newNodeTable(cfg.TableEntries, scanTableSize(cfg, len(part)), n, cfg.Batch)
 	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
 	switched := false
 
@@ -703,6 +719,15 @@ func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic
 	return switched, nil
 }
 
+// nodeFailure reports node i's RunNode error. A *NodeError already names
+// its node, so it is returned as is; any other error gains the node.
+func nodeFailure(i int, err error) error {
+	if _, ok := err.(*NodeError); ok {
+		return err
+	}
+	return fmt.Errorf("dist: node %d: %w", i, err)
+}
+
 // ClusterResult is the combined outcome of an in-process cluster run.
 type ClusterResult struct {
 	Groups   map[tuple.Key]tuple.AggState
@@ -772,7 +797,7 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 		// live on in a survivor's Groups. Every node NOT declared dead must
 		// still succeed.
 		if errs[0] != nil {
-			return nil, fmt.Errorf("dist: node 0: %w", errs[0])
+			return nil, nodeFailure(0, errs[0])
 		}
 		dead := make(map[int]bool)
 		for _, d := range results[0].DeadPeers {
@@ -781,7 +806,7 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 		}
 		for i, err := range errs {
 			if err != nil && !dead[i] {
-				return nil, fmt.Errorf("dist: node %d: %w", i, err)
+				return nil, nodeFailure(i, err)
 			}
 		}
 		results = results[:n]
@@ -793,7 +818,7 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 	} else {
 		for i, err := range errs {
 			if err != nil {
-				return nil, fmt.Errorf("dist: node %d: %w", i, err)
+				return nil, nodeFailure(i, err)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,6 +121,69 @@ func TestRunNodeValidatesConfig(t *testing.T) {
 	ln2, _ := net.Listen("tcp", "127.0.0.1:0")
 	if _, err := RunNode(ln2, Config{ID: 5, Addrs: []string{"x"}}, nil); err == nil {
 		t.Error("out-of-range id accepted")
+	}
+}
+
+// RunNode refuses a config the wire cannot carry before it dials: a
+// Batch over the frame record limit, and a tolerant cluster too big for
+// the header's one-byte origin. The listener is closed either way.
+func TestRunNodeRejectsUncarriableConfigs(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func(addr string) Config
+		want string
+	}{
+		{"batch over the wire limit", func(addr string) Config {
+			return Config{Addrs: []string{addr}, Batch: maxFrameRecords + 1}
+		}, "wire limit"},
+		{"tolerant cluster over 256 nodes", func(addr string) Config {
+			cfg := tolerantTemplate(TwoPhase)
+			cfg.Addrs = make([]string, maxTolerantNodes+1)
+			for i := range cfg.Addrs {
+				cfg.Addrs[i] = addr
+			}
+			cfg.PartitionSource = func(int) []tuple.Tuple { return nil }
+			return cfg
+		}, "at most 256 nodes"},
+	}
+	for _, tc := range cases {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tc.cfg(ln.Addr().String())
+		dialed := false
+		cfg.Dial = func(string, string, time.Duration) (net.Conn, error) {
+			dialed = true
+			return nil, errors.New("dial not expected")
+		}
+		_, err = RunNode(ln, cfg, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunNode error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if dialed {
+			t.Errorf("%s: RunNode dialed before rejecting the config", tc.name)
+		}
+		if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("%s: listener still open after the rejection (Accept: %v)", tc.name, err)
+		}
+	}
+}
+
+// A node's *NodeError reaches RunConfigured's caller as is: it names its
+// node already, so it gains no second "dist: node N:" prefix.
+func TestRunConfiguredKeepsNodeError(t *testing.T) {
+	refused := errors.New("refused by the test dialer")
+	_, err := RunConfigured(genParts(1, 2, 100, 10), Config{
+		DialTimeout: 100 * time.Millisecond,
+		Dial:        func(string, string, time.Duration) (net.Conn, error) { return nil, refused },
+	})
+	var ne *NodeError
+	if !errors.As(err, &ne) || ne.Phase != PhaseDial || !errors.Is(err, refused) {
+		t.Fatalf("RunConfigured error = %v, want node 0's dial NodeError", err)
+	}
+	if err.Error() != ne.Error() || strings.Count(err.Error(), "dist: node") != 1 {
+		t.Errorf("RunConfigured error = %q, want the NodeError's own message %q", err, ne)
 	}
 }
 

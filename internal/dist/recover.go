@@ -714,7 +714,7 @@ func (nd *tnode) readLoop(conn net.Conn) {
 		return
 	}
 	nd.m.trecv(src, frameHello, 0)
-	if !nd.post(tevent{typ: evFrame, peer: src, f: tframe{kind: frameHello}, conn: conn}) {
+	if !nd.post(tevent{typ: evFrame, peer: src, f: tframe{frame: frame{kind: frameHello}}, conn: conn}) {
 		return
 	}
 	for {
@@ -725,7 +725,7 @@ func (nd *tnode) readLoop(conn net.Conn) {
 			nd.post(tevent{typ: evReadErr, peer: src, err: err})
 			return
 		}
-		nd.m.trecv(src, f.kind, len(f.raw)+len(f.partials))
+		nd.m.trecv(src, f.kind, f.records())
 		if !nd.post(tevent{typ: evFrame, peer: src, f: f}) {
 			return
 		}
@@ -769,7 +769,7 @@ func (nd *tnode) heartbeatLoop() {
 func (nd *tnode) scanPrimary() {
 	cfg := nd.cfg
 	n := nd.n
-	local := newNodeTable(cfg.TableEntries, n)
+	local := newNodeTable(cfg.TableEntries, scanTableSize(cfg, len(nd.part)), n, cfg.Batch)
 	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
 
 	observing := cfg.Algorithm == AdaptiveRepartitioning
@@ -888,7 +888,13 @@ func (nd *tnode) runJob(j tjob) {
 		data = nd.cfg.PartitionSource(j.partition)
 	}
 	n := nd.n
-	local := newNodeTable(nd.cfg.TableEntries, n)
+	// A job always starts by folding locally, so a bounded table is
+	// built at its final size whatever the algorithm.
+	expected := 0
+	if nd.cfg.TableEntries > 0 {
+		expected = min(nd.cfg.TableEntries, len(data))
+	}
+	local := newNodeTable(nd.cfg.TableEntries, expected, n, nd.cfg.Batch)
 	rawBuf := make([][]tuple.Tuple, n)
 	var shipped int64
 	degraded := false
@@ -1052,15 +1058,17 @@ func (nd *tnode) onFrame(ev tevent) {
 	case frameRaw, frameRawCol:
 		st := nd.stage(f.stream())
 		st.frames++
-		for _, t := range f.raw {
+		for _, t := range f.raw.ts {
 			st.groups.UpdateRaw(t)
 		}
+		rawHolders.Put(f.raw)
 	case framePartial, framePartialCol:
 		st := nd.stage(f.stream())
 		st.frames++
-		for _, pt := range f.partials {
+		for _, pt := range f.part.ps {
 			st.groups.MergePartial(pt)
 		}
+		partHolders.Put(f.part)
 	case frameEOS:
 		nd.tryCommit(f.stream())
 	}

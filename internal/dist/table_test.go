@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -18,7 +21,7 @@ import (
 // again allocates nothing. CI runs it with the other AllocsPin tests.
 func TestAllocsPinNodeTableFlush(t *testing.T) {
 	const bound, n = 1024, 3
-	nt := newNodeTable(bound, n)
+	nt := newNodeTable(bound, 0, n, 128)
 	dest := func(k tuple.Key) int { return k.Dest(n) }
 	shipped := 0
 	write := func(_ int, ps []tuple.Partial) error {
@@ -45,6 +48,42 @@ func TestAllocsPinNodeTableFlush(t *testing.T) {
 	}
 	if want := bound * 102; shipped != want {
 		t.Errorf("shipped %d partials, want %d", shipped, want)
+	}
+}
+
+// TestNodeTableFlushCutsOversizedTables: flushing an unbounded table that
+// holds more groups than one frame may carry hands write slices of at
+// most batch partials, each to the right destination, and ships every
+// group exactly once. When a flush shipped a destination's whole share as
+// one frame, this table produced a frame the writers refuse, failing the
+// query.
+func TestNodeTableFlushCutsOversizedTables(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a table of a million groups costs several times its ~150 MB in race shadow memory")
+	}
+	const groups, n, batch = maxFrameRecords + 1, 2, 1024
+	nt := newNodeTable(0, groups, n, batch)
+	for i := 0; i < groups; i++ {
+		nt.fold(tuple.Tuple{Key: tuple.Key(i), Val: 1})
+	}
+	shipped := 0
+	err := nt.flush(func(k tuple.Key) int { return k.Dest(n) }, func(d int, ps []tuple.Partial) error {
+		if len(ps) == 0 || len(ps) > batch {
+			t.Fatalf("write of %d partials, want 1..%d", len(ps), batch)
+		}
+		for _, p := range ps {
+			if p.Key.Dest(n) != d {
+				t.Fatalf("group %d written to destination %d, owner %d", p.Key, d, p.Key.Dest(n))
+			}
+		}
+		shipped += len(ps)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shipped != groups {
+		t.Errorf("shipped %d partials, want %d", shipped, groups)
 	}
 }
 
@@ -222,6 +261,96 @@ func TestWireSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFramesCutAtBatch: on the wire, every data frame carries at most
+// Config.Batch records, partial frames included, in both dialects and for
+// every algorithm, and the answer still equals the sequential fold. Each
+// node's table holds several Batches of groups per destination at every
+// flush, so 2P's largest partial frame must be exactly Batch.
+func TestFramesCutAtBatch(t *testing.T) {
+	const batch, bound = 128, 1024
+	parts := genParts(2, 3, 6_000, 3_000)
+	want := sequentialFold(parts)
+	for _, tolerate := range []bool{false, true} {
+		for _, alg := range algorithms() {
+			name := fmt.Sprintf("tolerate=%v %v", tolerate, alg)
+			template := Config{Algorithm: alg, TableEntries: bound, Batch: batch}
+			if tolerate {
+				template = tolerantTemplate(alg)
+				template.TableEntries, template.Batch = bound, batch
+			}
+			rec := newRecorder()
+			got := map[tuple.Key]tuple.AggState{}
+			for _, r := range launch(t, parts, template, rec.hook) {
+				for k, s := range r.Groups {
+					got[k] = s
+				}
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s: %d groups differ from the sequential fold's %d", name, len(got), len(want))
+			}
+			maxPartial := 0
+			for conn, stream := range rec.sent {
+				for _, f := range recordedFrames(t, stream, tolerate) {
+					if f.records() > batch {
+						t.Fatalf("%s: connection %d->%d carried a frame of kind %d with %d records, Batch is %d",
+							name, conn[0], conn[1], f.kind, f.records(), batch)
+					}
+					if f.part != nil {
+						maxPartial = max(maxPartial, len(f.part.ps))
+					}
+				}
+			}
+			if alg == TwoPhase && maxPartial != batch {
+				t.Errorf("%s: largest partial frame has %d records, want exactly Batch (%d)", name, maxPartial, batch)
+			}
+		}
+	}
+}
+
+// recordedFrames parses one recorded outbound stream, hello first, into
+// its frames with the dialect's reader.
+func recordedFrames(t *testing.T, stream *bytes.Buffer, tolerant bool) []frame {
+	t.Helper()
+	r := bufio.NewReader(bytes.NewReader(stream.Bytes()))
+	if _, err := readHello(r); err != nil {
+		t.Fatalf("stream without a hello: %v", err)
+	}
+	var frames []frame
+	for {
+		var f frame
+		var err error
+		if tolerant {
+			var tf tframe
+			tf, err = readTFrame(r)
+			f = tf.frame
+		} else {
+			f, err = readFrame(r)
+		}
+		if err == io.EOF {
+			return frames
+		}
+		if err != nil {
+			t.Fatalf("recorded stream does not parse after %d frames: %v", len(frames), err)
+		}
+		frames = append(frames, f)
+	}
+}
+
+// sequentialFold folds every partition into one table: the oracle.
+func sequentialFold(parts [][]tuple.Tuple) map[tuple.Key]tuple.AggState {
+	oracle := aggtable.New(0)
+	for _, p := range parts {
+		for _, tp := range p {
+			oracle.UpdateRaw(tp)
+		}
+	}
+	want := map[tuple.Key]tuple.AggState{}
+	for _, p := range oracle.AppendDrain(nil) {
+		want[p.Key] = p.State
+	}
+	return want
+}
+
 // genParts draws n partitions of rows tuples each over at most groups
 // scattered keys.
 func genParts(seed int64, n, rows, groups int) [][]tuple.Tuple {
@@ -244,16 +373,7 @@ func TestOracleSweep(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		n := 1 + int(seed%4)
 		parts := genParts(seed, n, 200+int(seed)*37, 10+int(seed)*13)
-		oracle := aggtable.New(0)
-		for _, p := range parts {
-			for _, tp := range p {
-				oracle.UpdateRaw(tp)
-			}
-		}
-		want := map[tuple.Key]tuple.AggState{}
-		for _, p := range oracle.AppendDrain(nil) {
-			want[p.Key] = p.State
-		}
+		want := sequentialFold(parts)
 		perNode := make([]int, n)
 		for i, p := range parts {
 			seen := map[tuple.Key]bool{}

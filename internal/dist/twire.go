@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"parallelagg/internal/tuple"
 )
@@ -57,6 +56,11 @@ const assignDeadFlag = 1 << 16
 
 const tHeaderSize = 12
 
+// maxTolerantNodes bounds a tolerant cluster's size: the header's origin
+// is one byte, so a larger cluster would alias origin 256 to origin 0.
+// RunNode refuses such a config before dialing.
+const maxTolerantNodes = 1 << 8
+
 // phaseCode compresses a Phase into the u32 aux of a suspect frame.
 func phaseCode(p Phase) uint32 {
 	switch p {
@@ -100,14 +104,13 @@ func codePhase(c uint32) Phase {
 	}
 }
 
-// tframe is one decoded tolerant-mode frame.
+// tframe is one decoded tolerant-mode frame: a frame plus its stream tag
+// and immediate.
 type tframe struct {
-	kind     frameKind
-	origin   int
-	epoch    int
-	aux      uint32
-	raw      []tuple.Tuple
-	partials []tuple.Partial
+	frame
+	origin int
+	epoch  int
+	aux    uint32
 }
 
 func (f tframe) stream() streamID { return streamID{origin: f.origin, epoch: f.epoch} }
@@ -205,14 +208,15 @@ func tPartialColFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]
 }
 
 // readTFrame decodes the next tolerant-mode frame with the same
-// hostile-input guards as v1: bounded counts, chunked allocation.
+// hostile-input guards as v1: bounded counts, chunked allocation, and
+// data frames decoded into pooled holders.
 func readTFrame(r *bufio.Reader) (tframe, error) {
 	var hdr [tHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if err := readHeader(r, hdr[:]); err != nil {
 		return tframe{}, err
 	}
 	f := tframe{
-		kind:   frameKind(hdr[0]),
+		frame:  frame{kind: frameKind(hdr[0])},
 		origin: int(hdr[1]),
 		epoch:  int(binary.LittleEndian.Uint16(hdr[2:4])),
 		aux:    binary.LittleEndian.Uint32(hdr[4:8]),
@@ -227,39 +231,11 @@ func readTFrame(r *bufio.Reader) (tframe, error) {
 			return tframe{}, fmt.Errorf("dist: control frame %d with count %d", f.kind, count)
 		}
 		return f, nil
-	case frameRaw:
-		f.raw = make([]tuple.Tuple, 0, min(count, allocChunk))
-		var rec [tuple.RawSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return tframe{}, err
-			}
-			f.raw = append(f.raw, tuple.DecodeRaw(rec[:]))
-		}
-		return f, nil
-	case framePartial:
-		f.partials = make([]tuple.Partial, 0, min(count, allocChunk))
-		var rec [tuple.PartialSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return tframe{}, err
-			}
-			f.partials = append(f.partials, tuple.DecodePartial(rec[:]))
-		}
-		return f, nil
-	case frameRawCol:
-		body, err := readColBody(r, count*tuple.RawSize)
-		if err != nil {
+	case frameRaw, framePartial, frameRawCol, framePartialCol:
+		var err error
+		if f.frame, err = readData(r, f.kind, count); err != nil {
 			return tframe{}, err
 		}
-		f.raw = tuple.DecodeRawCol(make([]tuple.Tuple, 0, count), body, count)
-		return f, nil
-	case framePartialCol:
-		body, err := readColBody(r, count*tuple.PartialSize)
-		if err != nil {
-			return tframe{}, err
-		}
-		f.partials = tuple.DecodePartialCol(make([]tuple.Partial, 0, count), body, count)
 		return f, nil
 	default:
 		return tframe{}, fmt.Errorf("dist: unknown frame kind %d", f.kind)

@@ -31,12 +31,12 @@ func TestTolerantRawFrameRoundTrip(t *testing.T) {
 	if f.stream() != (streamID{origin: 3, epoch: 2}) {
 		t.Fatalf("stream = %v", f.stream())
 	}
-	if len(f.raw) != len(ts) {
-		t.Fatalf("got %d records, want %d", len(f.raw), len(ts))
+	if len(f.tuples()) != len(ts) {
+		t.Fatalf("got %d records, want %d", len(f.tuples()), len(ts))
 	}
 	for i := range ts {
-		if f.raw[i] != ts[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, f.raw[i], ts[i])
+		if f.tuples()[i] != ts[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, f.tuples()[i], ts[i])
 		}
 	}
 }
@@ -58,8 +58,8 @@ func TestTolerantPartialFrameRoundTrip(t *testing.T) {
 		t.Fatalf("header = kind %d origin %d epoch %d", f.kind, f.origin, f.epoch)
 	}
 	for i := range ps {
-		if f.partials[i] != ps[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, f.partials[i], ps[i])
+		if f.partials()[i] != ps[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, f.partials()[i], ps[i])
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"sync"
 	"time"
 
 	"parallelagg/internal/tuple"
@@ -56,11 +58,12 @@ const (
 // for every later frame on the connection).
 const maxFrameRecords = 1 << 20
 
-// allocChunk caps the upfront record-slice allocation while decoding a
-// frame. The slice then grows with append as record bytes actually
+// allocChunk caps the upfront growth of a receive holder while decoding a
+// frame. The holder then grows with append only as record bytes actually
 // arrive, so a forged header claiming maxFrameRecords records costs a
-// few KiB, not tens of MiB, before the connection's read deadline or a
-// short read kills it.
+// holder of at most allocChunk records, not tens of MiB, before the
+// connection's read deadline or a short read kills it; the holder goes
+// back to its pool no larger than that.
 const allocChunk = 4096
 
 // colBodyCap caps the upfront body-buffer allocation while decoding a
@@ -321,17 +324,135 @@ func (p *peer) writeEOP() error {
 	return p.count(frameEOP, 0, writeEOPFrame(p.w))
 }
 
-// frame is one decoded wire frame.
+// frame is one decoded wire frame. A data frame's records live in a
+// pooled holder, raw for the raw kinds and part for the partial kinds;
+// the merge side Puts that holder back to its pool once it has folded
+// the records. Control frames carry neither.
 type frame struct {
-	kind     frameKind
-	raw      []tuple.Tuple
-	partials []tuple.Partial
+	kind frameKind
+	raw  *rawHolder
+	part *partHolder
+}
+
+// records returns the number of records f carries.
+func (f frame) records() int {
+	switch {
+	case f.raw != nil:
+		return len(f.raw.ts)
+	case f.part != nil:
+		return len(f.part.ps)
+	default:
+		return 0
+	}
+}
+
+// rawHolder and partHolder are the receive buffers of both dialects: the
+// decoded records of one data frame. Frame readers Get a holder for every
+// data frame and decode into it from length zero, reusing its capacity;
+// the merge side folds the records and Puts the holder back. The pools
+// are process-wide, like the live exchange's, so a node reuses what
+// earlier queries returned. Senders cut frames at Config.Batch records,
+// so a holder's capacity stays near Batch.
+type rawHolder struct{ ts []tuple.Tuple }
+type partHolder struct{ ps []tuple.Partial }
+
+var (
+	rawHolders  = sync.Pool{New: func() any { return new(rawHolder) }}
+	partHolders = sync.Pool{New: func() any { return new(partHolder) }}
+)
+
+// decode replaces h's records with the count raw records of a frame of
+// the given kind read from r.
+func (h *rawHolder) decode(r *bufio.Reader, kind frameKind, count int) error {
+	h.ts = slices.Grow(h.ts[:0], min(count, allocChunk))
+	if kind == frameRawCol {
+		// The whole body is buffered before decoding (the value column
+		// trails every key); count*RawSize real bytes have arrived by
+		// the time the records are appended.
+		body, err := readColBody(r, count*tuple.RawSize)
+		if err != nil {
+			return err
+		}
+		h.ts = tuple.DecodeRawCol(h.ts, body, count)
+		return nil
+	}
+	var err error
+	h.ts, err = readRecords(r, h.ts, count, tuple.RawSize, tuple.DecodeRaw)
+	return err
+}
+
+// decode replaces h's records with the count partial records of a frame
+// of the given kind read from r.
+func (h *partHolder) decode(r *bufio.Reader, kind frameKind, count int) error {
+	h.ps = slices.Grow(h.ps[:0], min(count, allocChunk))
+	if kind == framePartialCol {
+		body, err := readColBody(r, count*tuple.PartialSize)
+		if err != nil {
+			return err
+		}
+		h.ps = tuple.DecodePartialCol(h.ps, body, count)
+		return nil
+	}
+	var err error
+	h.ps, err = readRecords(r, h.ps, count, tuple.PartialSize, tuple.DecodePartial)
+	return err
+}
+
+// readRecords appends count fixed-width records of size bytes from r to
+// dst, decoding every whole record the reader has buffered in one pass.
+// dst grows only as record bytes arrive.
+func readRecords[T any](r *bufio.Reader, dst []T, count, size int, decode func([]byte) T) ([]T, error) {
+	for count > 0 {
+		if _, err := r.Peek(size); err != nil {
+			return dst, err
+		}
+		n := min(count, r.Buffered()/size)
+		b, _ := r.Peek(n * size)
+		for off := 0; off < len(b); off += size {
+			dst = append(dst, decode(b[off:off+size]))
+		}
+		r.Discard(len(b)) // cannot fail: b is buffered
+		count -= n
+	}
+	return dst, nil
+}
+
+// readHeader reads a frame header of len(hdr) bytes from r into hdr.
+// Going through Peek rather than io.ReadFull keeps hdr on the stack.
+func readHeader(r *bufio.Reader, hdr []byte) error {
+	b, err := r.Peek(len(hdr))
+	if err != nil {
+		return err
+	}
+	copy(hdr, b)
+	_, err = r.Discard(len(hdr))
+	return err
+}
+
+// readData decodes the count records of a data frame of the given kind
+// into a holder from its pool. On a decode error the holder goes straight
+// back to the pool.
+func readData(r *bufio.Reader, kind frameKind, count int) (frame, error) {
+	if kind == frameRaw || kind == frameRawCol {
+		h := rawHolders.Get().(*rawHolder)
+		if err := h.decode(r, kind, count); err != nil {
+			rawHolders.Put(h)
+			return frame{}, err
+		}
+		return frame{kind: kind, raw: h}, nil
+	}
+	h := partHolders.Get().(*partHolder)
+	if err := h.decode(r, kind, count); err != nil {
+		partHolders.Put(h)
+		return frame{}, err
+	}
+	return frame{kind: kind, part: h}, nil
 }
 
 // readFrame decodes the next frame.
 func readFrame(r *bufio.Reader) (frame, error) {
 	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if err := readHeader(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
 	kind := frameKind(hdr[0])
@@ -345,42 +466,8 @@ func readFrame(r *bufio.Reader) (frame, error) {
 			return frame{}, fmt.Errorf("dist: control frame %d with count %d", kind, count)
 		}
 		return frame{kind: kind}, nil
-	case frameRaw:
-		f := frame{kind: kind, raw: make([]tuple.Tuple, 0, min(count, allocChunk))}
-		var rec [tuple.RawSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return frame{}, err
-			}
-			f.raw = append(f.raw, tuple.DecodeRaw(rec[:]))
-		}
-		return f, nil
-	case framePartial:
-		f := frame{kind: kind, partials: make([]tuple.Partial, 0, min(count, allocChunk))}
-		var rec [tuple.PartialSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return frame{}, err
-			}
-			f.partials = append(f.partials, tuple.DecodePartial(rec[:]))
-		}
-		return f, nil
-	case frameRawCol:
-		// The whole body is buffered before decoding (the value column
-		// trails every key), chunk-grown so the forged-count exposure
-		// stays bounded; count*RawSize real bytes have arrived by the
-		// time the record slice is sized.
-		body, err := readColBody(r, count*tuple.RawSize)
-		if err != nil {
-			return frame{}, err
-		}
-		return frame{kind: kind, raw: tuple.DecodeRawCol(make([]tuple.Tuple, 0, count), body, count)}, nil
-	case framePartialCol:
-		body, err := readColBody(r, count*tuple.PartialSize)
-		if err != nil {
-			return frame{}, err
-		}
-		return frame{kind: kind, partials: tuple.DecodePartialCol(make([]tuple.Partial, 0, count), body, count)}, nil
+	case frameRaw, framePartial, frameRawCol, framePartialCol:
+		return readData(r, kind, count)
 	default:
 		return frame{}, fmt.Errorf("dist: unknown frame kind %d", kind)
 	}

@@ -6,12 +6,96 @@ import (
 	"errors"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/tuple"
 )
+
+// tuples and partials return a decoded frame's records of that kind, nil
+// when it carries none.
+func (f frame) tuples() []tuple.Tuple {
+	if f.raw == nil {
+		return nil
+	}
+	return f.raw.ts
+}
+
+func (f frame) partials() []tuple.Partial {
+	if f.part == nil {
+		return nil
+	}
+	return f.part.ps
+}
+
+// TestAllocsPinReceiveFold pins the receive path of both dialects: once
+// warm, decoding a raw frame and a partial frame of Batch records from a
+// buffered reader over encoded bytes, folding them into an unbounded
+// table and handing the holders back allocates nothing. CI runs it with
+// the other AllocsPin tests.
+func TestAllocsPinReceiveFold(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under -race")
+	}
+	const batch = 1024
+	ts := make([]tuple.Tuple, batch)
+	ps := make([]tuple.Partial, batch)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Key: tuple.Key(i * 7919), Val: int64(i)}
+		ps[i] = tuple.Partial{Key: tuple.Key(1<<40 + i*7919), State: tuple.NewState(int64(-i))}
+	}
+	dialects := []struct {
+		name   string
+		stream []byte
+		read   func(*bufio.Reader) (frame, error)
+	}{
+		{"fail-fast", slices.Concat(mustFrame(rawFrameInto(nil, ts)), mustFrame(partialFrameInto(nil, ps))), readFrame},
+		{"tolerant", slices.Concat(mustFrame(tRawFrameInto(nil, 1, 0, ts)), mustFrame(tPartialFrameInto(nil, 1, 0, ps))),
+			func(r *bufio.Reader) (frame, error) {
+				f, err := readTFrame(r)
+				return f.frame, err
+			}},
+	}
+	for _, d := range dialects {
+		merged := aggtable.New(0)
+		src := bytes.NewReader(nil)
+		r := bufio.NewReaderSize(src, 1<<16)
+		receive := func() {
+			src.Reset(d.stream)
+			r.Reset(src)
+			for range 2 {
+				f, err := d.read(r)
+				if err != nil {
+					t.Fatalf("%s: %v", d.name, err)
+				}
+				switch {
+				case f.raw != nil:
+					for _, tp := range f.raw.ts {
+						merged.UpdateRaw(tp)
+					}
+					rawHolders.Put(f.raw)
+				case f.part != nil:
+					for _, p := range f.part.ps {
+						merged.MergePartial(p)
+					}
+					partHolders.Put(f.part)
+				default:
+					t.Fatalf("%s: frame of kind %d carries no records", d.name, f.kind)
+				}
+			}
+		}
+		receive() // warm-up: sizes the holders and the table
+		if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
+			t.Errorf("%s: steady-state receive and fold allocates %.1f per op, want 0", d.name, allocs)
+		}
+		if merged.Len() != 2*batch {
+			t.Errorf("%s: folded %d groups, want %d", d.name, merged.Len(), 2*batch)
+		}
+	}
+}
 
 func TestWireRawRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -28,7 +112,7 @@ func TestWireRawRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != frameRaw || len(f.raw) != 2 || f.raw[0] != in[0] || f.raw[1] != in[1] {
+	if f.kind != frameRaw || len(f.tuples()) != 2 || f.tuples()[0] != in[0] || f.tuples()[1] != in[1] {
 		t.Fatalf("frame = %+v", f)
 	}
 	f, err = readFrame(r)
@@ -49,7 +133,7 @@ func TestWirePartialRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != framePartial || len(f.partials) != 1 || f.partials[0] != in[0] {
+	if f.kind != framePartial || len(f.partials()) != 1 || f.partials()[0] != in[0] {
 		t.Fatalf("frame = %+v", f)
 	}
 }
@@ -95,8 +179,8 @@ func TestWriteSideFrameBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := readFrame(bufio.NewReader(&buf))
-	if err != nil || len(f.raw) != maxFrameRecords {
-		t.Fatalf("limit-sized frame: %d records, %v", len(f.raw), err)
+	if err != nil || len(f.tuples()) != maxFrameRecords {
+		t.Fatalf("limit-sized frame: %d records, %v", len(f.tuples()), err)
 	}
 }
 
@@ -196,11 +280,11 @@ func TestWireRoundTripProperty(t *testing.T) {
 			return false
 		}
 		fr, err := readFrame(bufio.NewReader(&buf))
-		if err != nil || len(fr.raw) != n {
+		if err != nil || len(fr.tuples()) != n {
 			return false
 		}
 		for i := range in {
-			if fr.raw[i] != in[i] {
+			if fr.tuples()[i] != in[i] {
 				return false
 			}
 		}
