@@ -32,9 +32,10 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/dist/... ./internal/faultnet/...
 
-# Short fuzz sweep over both wire decoders and the fault-spec parser —
-# the same smoke CI runs; use `go test -fuzz=... -fuzztime=10m` for a
-# real session.
+# Short fuzz sweep over both dist wire decoders, the fault-spec parser,
+# and the aggregation table's three oracle fuzzers (insert/merge/drain,
+# concurrent shared-table folds, batch folds) — the same smoke CI runs;
+# use `go test -fuzz=... -fuzztime=10m` for a real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 15s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeTFrame' -fuzztime 15s ./internal/dist/

@@ -334,10 +334,12 @@ func TestTolerantCLISurvivesCrash(t *testing.T) {
 // opening any sockets.
 func TestBadFlagsExitNonzero(t *testing.T) {
 	cases := [][]string{
-		{},                          // missing -addrs
+		{}, // missing -addrs
 		{"-addrs", "x", "-alg", "nope"},
 		{"-addrs", "a,b", "-id", "5"},
 		{"-addrs", "a,b", "-chaos", "latency=oops"},
+		{"-addrs", "127.0.0.1:0", "-groups", "0"},
+		{"-addrs", "127.0.0.1:0", "-tuples", "100", "-groups", "101"},
 	}
 	for _, args := range cases {
 		if code := run(args, io.Discard, io.Discard); code != 2 {

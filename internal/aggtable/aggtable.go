@@ -110,7 +110,7 @@ func (t *Table) init(slots int) {
 	for i := range t.ctrl {
 		t.ctrl[i] = ctrlEmpty
 	}
-	t.keys = make([]tuple.Key, slots) //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
+	t.keys = make([]tuple.Key, slots)        //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
 	t.states = make([]tuple.AggState, slots) //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
 	t.mask = uint64(slots - 1)
 	t.used = 0

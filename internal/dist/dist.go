@@ -91,13 +91,6 @@ type Config struct {
 	// records. Default 1024; at most the 1,048,576-record wire limit.
 	Batch int
 
-	// Columnar encodes this node's raw/partial data frames in the
-	// columnar layout (frameRawCol/framePartialCol): same records,
-	// column-major sections, one single-pass encode into the per-peer
-	// scratch buffer. Decoding always accepts both layouts, so mixed
-	// clusters interoperate; the flag only selects what this node emits.
-	Columnar bool
-
 	// InitSeg and SwitchRatio drive AdaptiveRepartitioning's fallback,
 	// with the same meaning as the simulator's options. Defaults: 4096
 	// and 0.1.
@@ -274,9 +267,11 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	cfg = cfg.withDefaults()
 	n := len(cfg.Addrs)
 	if n == 0 {
+		ln.Close()
 		return nil, fmt.Errorf("dist: empty address list")
 	}
 	if cfg.ID < 0 || cfg.ID >= n {
+		ln.Close()
 		return nil, fmt.Errorf("dist: node id %d out of range [0,%d)", cfg.ID, n)
 	}
 	// Configs the wire cannot carry fail here, before dialing, rather
@@ -299,7 +294,7 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		}
 		return runNodeTolerant(ln, cfg, part)
 	}
-	m := newMetrics(cfg.Obs, cfg.ID)
+	m := newMetrics(cfg.Obs, cfg.ID, headerSize)
 
 	// Cooperative cancellation: the first error (from any side) closes
 	// done, the listener, and every tracked connection. Closing the
@@ -473,12 +468,12 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				eos++
 			case frameEOP:
 				fallback.Store(true)
-			case frameRaw, frameRawCol:
+			case frameRaw:
 				for _, t := range f.raw.ts {
 					merged.UpdateRaw(t)
 				}
 				rawHolders.Put(f.raw)
-			case framePartial, framePartialCol:
+			case framePartial:
 				for _, pt := range f.part.ps {
 					merged.MergePartial(pt)
 				}
@@ -588,7 +583,7 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 		if ok := tracker.add(conn); !ok {
 			return nil, nodeErr(cfg.ID, j, PhaseDial, net.ErrClosed)
 		}
-		p := &peer{id: j, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), timeout: cfg.IOTimeout, m: m, columnar: cfg.Columnar}
+		p := &peer{id: j, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), timeout: cfg.IOTimeout, m: m}
 		if err := p.writeHello(cfg.ID); err != nil {
 			return nil, nodeErr(cfg.ID, j, PhaseHello, err)
 		}

@@ -124,15 +124,22 @@ func TestRunNodeValidatesConfig(t *testing.T) {
 	}
 }
 
-// RunNode refuses a config the wire cannot carry before it dials: a
-// Batch over the frame record limit, and a tolerant cluster too big for
-// the header's one-byte origin. The listener is closed either way.
+// RunNode refuses a config the wire cannot carry before it dials: an
+// empty address list, an ID outside it, a Batch over the frame record
+// limit, and a tolerant cluster too big for the header's one-byte origin.
+// The listener is closed either way.
 func TestRunNodeRejectsUncarriableConfigs(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  func(addr string) Config
 		want string
 	}{
+		{"empty address list", func(string) Config {
+			return Config{}
+		}, "empty address list"},
+		{"id out of range", func(addr string) Config {
+			return Config{ID: 1, Addrs: []string{addr}}
+		}, "out of range"},
 		{"batch over the wire limit", func(addr string) Config {
 			return Config{Addrs: []string{addr}, Batch: maxFrameRecords + 1}
 		}, "wire limit"},
@@ -149,6 +156,11 @@ func TestRunNodeRejectsUncarriableConfigs(t *testing.T) {
 	for _, tc := range cases {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
+			t.Fatal(err)
+		}
+		// The deadline turns a listener left open into a failed Accept
+		// below rather than a hang.
+		if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
 		cfg := tc.cfg(ln.Addr().String())

@@ -58,20 +58,20 @@ func decodeTwice(t *testing.T, data []byte, hdrSize int) {
 	}
 	body := data[hdrSize:]
 	switch kind {
-	case frameRaw, frameRawCol:
+	case frameRaw:
 		var h rawHolder
 		decodeTwiceInto(t, body, kind, count, &h.ts, h.decode)
-	case framePartial, framePartialCol:
+	case framePartial:
 		var h partHolder
 		decodeTwiceInto(t, body, kind, count, &h.ps, h.decode)
 	}
 }
 
-func decodeTwiceInto[T comparable](t *testing.T, body []byte, kind frameKind, count int, recs *[]T, decode func(*bufio.Reader, frameKind, int) error) {
+func decodeTwiceInto[T comparable](t *testing.T, body []byte, kind frameKind, count int, recs *[]T, decode func(*bufio.Reader, int) error) {
 	var first []T
 	var firstErr error
 	for i := range 2 {
-		err := decode(bufio.NewReader(bytes.NewReader(body)), kind, count)
+		err := decode(bufio.NewReader(bytes.NewReader(body)), count)
 		if len(*recs) <= allocChunk && cap(*recs) > allocChunk {
 			t.Fatalf("decode %d of kind %d claiming %d records: %d arrived, holder capacity %d exceeds allocChunk",
 				i, kind, count, len(*recs), cap(*recs))
@@ -85,6 +85,14 @@ func decodeTwiceInto[T comparable](t *testing.T, body []byte, kind frameKind, co
 				len(*recs), err, len(first), firstErr)
 		}
 	}
+}
+
+// retired returns frame with its kind byte replaced by a retired kind:
+// kinds 11 and 12 were the columnar layout, and every reader must now
+// reject them without panicking.
+func retired(frame []byte, kind byte) []byte {
+	frame[0] = kind
+	return frame
 }
 
 // FuzzDecodeFrame throws arbitrary bytes at the wire decoder. The
@@ -107,10 +115,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 0, 0})                       // unknown kind
 	f.Add(encodeRawFrame([]tuple.Tuple{{Key: 1, Val: -7}, {Key: 99, Val: 42}}))
 	f.Add(encodePartialFrame([]tuple.Partial{{Key: 3, State: tuple.NewState(5)}}))
-	f.Add([]byte{byte(frameRawCol), 0, 0, 16, 0})    // forged columnar count, no body
-	f.Add([]byte{byte(framePartialCol), 2, 0, 0, 0}) // truncated columnar body
-	f.Add(mustFrame(rawColFrameInto(nil, []tuple.Tuple{{Key: 8, Val: -1}, {Key: 9, Val: 2}})))
-	f.Add(mustFrame(partialColFrameInto(nil, []tuple.Partial{{Key: 4, State: tuple.NewState(6)}})))
+	f.Add([]byte{11, 0, 0, 16, 0}) // retired kind, forged count, no body
+	f.Add([]byte{12, 2, 0, 0, 0})  // retired kind, truncated body
+	f.Add(retired(encodeRawFrame([]tuple.Tuple{{Key: 8, Val: -1}, {Key: 9, Val: 2}}), 11))
+	f.Add(retired(encodePartialFrame([]tuple.Partial{{Key: 4, State: tuple.NewState(6)}}), 12))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeTwice(t, data, 5)
@@ -119,7 +127,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		switch fr.kind {
-		case frameRaw, framePartial, frameEOS, frameEOP, frameRawCol, framePartialCol:
+		case frameRaw, framePartial, frameEOS, frameEOP:
 		default:
 			t.Fatalf("decoded frame has unknown kind %d", fr.kind)
 		}
@@ -129,9 +137,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if (fr.kind == frameEOS || fr.kind == frameEOP) && (len(fr.tuples()) != 0 || len(fr.partials()) != 0) {
 			t.Fatalf("control frame %d decoded with records", fr.kind)
 		}
-		rawKind := fr.kind == frameRaw || fr.kind == frameRawCol
-		partialKind := fr.kind == framePartial || fr.kind == framePartialCol
-		if rawKind && len(fr.partials()) != 0 || partialKind && len(fr.tuples()) != 0 {
+		if fr.kind == frameRaw && len(fr.partials()) != 0 || fr.kind == framePartial && len(fr.tuples()) != 0 {
 			t.Fatalf("frame kind %d decoded with records of the other kind", fr.kind)
 		}
 
@@ -144,16 +150,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			werr = writeRawFrame(w, fr.tuples())
 		case framePartial:
 			werr = writePartialFrame(w, fr.partials())
-		case frameRawCol:
-			var b []byte
-			if b, werr = rawColFrameInto(nil, fr.tuples()); werr == nil {
-				_, werr = w.Write(b)
-			}
-		case framePartialCol:
-			var b []byte
-			if b, werr = partialColFrameInto(nil, fr.partials()); werr == nil {
-				_, werr = w.Write(b)
-			}
 		case frameEOS:
 			werr = writeEOSFrame(w)
 		case frameEOP:
@@ -201,10 +197,10 @@ func FuzzDecodeTFrame(f *testing.F) {
 	f.Add(hdr(framePartial, 0, 0, 0, 1<<24))          // count over the bound
 	f.Add(append(hdr(frameRaw, 1, 0, 0, 2), 1, 2, 3)) // truncated records
 	f.Add(hdr(99, 0, 0, 0, 0))                        // unknown kind
-	f.Add(mustFrame(tRawFrameInto(nil, 3, 2, []tuple.Tuple{{Key: 1, Val: -7}, {Key: 99, Val: 42}})))
-	f.Add(mustFrame(tPartialFrameInto(nil, 1, 0, []tuple.Partial{{Key: 3, State: tuple.NewState(5)}})))
-	f.Add(mustFrame(tRawColFrameInto(nil, 0, 1, []tuple.Tuple{{Key: 8, Val: -1}, {Key: 9, Val: 2}})))
-	f.Add(mustFrame(tPartialColFrameInto(nil, 2, 3, []tuple.Partial{{Key: 4, State: tuple.NewState(6)}})))
+	f.Add(mustFrame(tRawFrame(3, 2, []tuple.Tuple{{Key: 1, Val: -7}, {Key: 99, Val: 42}})))
+	f.Add(mustFrame(tPartialFrame(1, 0, []tuple.Partial{{Key: 3, State: tuple.NewState(5)}})))
+	f.Add(retired(mustFrame(tRawFrame(0, 1, []tuple.Tuple{{Key: 8, Val: -1}, {Key: 9, Val: 2}})), 11))
+	f.Add(retired(mustFrame(tPartialFrame(2, 3, []tuple.Partial{{Key: 4, State: tuple.NewState(6)}})), 12))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeTwice(t, data, tHeaderSize)
@@ -214,7 +210,7 @@ func FuzzDecodeTFrame(f *testing.F) {
 		}
 		control := false
 		switch fr.kind {
-		case frameRaw, framePartial, frameRawCol, framePartialCol:
+		case frameRaw, framePartial:
 		case frameEOS, frameEOP, frameHeartbeat, frameSuspect, frameAssign, frameEvict, frameDone, frameFinish:
 			control = true
 		default:
@@ -226,9 +222,7 @@ func FuzzDecodeTFrame(f *testing.F) {
 		if control && (fr.raw != nil || fr.part != nil) {
 			t.Fatalf("control frame %d decoded with records", fr.kind)
 		}
-		rawKind := fr.kind == frameRaw || fr.kind == frameRawCol
-		partialKind := fr.kind == framePartial || fr.kind == framePartialCol
-		if rawKind && fr.part != nil || partialKind && fr.raw != nil {
+		if fr.kind == frameRaw && fr.part != nil || fr.kind == framePartial && fr.raw != nil {
 			t.Fatalf("frame kind %d decoded with records of the other kind", fr.kind)
 		}
 
@@ -237,13 +231,9 @@ func FuzzDecodeTFrame(f *testing.F) {
 		var werr error
 		switch fr.kind {
 		case frameRaw:
-			b, werr = tRawFrameInto(nil, fr.origin, fr.epoch, fr.tuples())
+			b, werr = tRawFrame(fr.origin, fr.epoch, fr.tuples())
 		case framePartial:
-			b, werr = tPartialFrameInto(nil, fr.origin, fr.epoch, fr.partials())
-		case frameRawCol:
-			b, werr = tRawColFrameInto(nil, fr.origin, fr.epoch, fr.tuples())
-		case framePartialCol:
-			b, werr = tPartialColFrameInto(nil, fr.origin, fr.epoch, fr.partials())
+			b, werr = tPartialFrame(fr.origin, fr.epoch, fr.partials())
 		default:
 			var buf bytes.Buffer
 			w := bufio.NewWriter(&buf)

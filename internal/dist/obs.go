@@ -20,6 +20,9 @@ const frameHello frameKind = 0
 // exchange hot paths carry no enablement branches.
 type metrics struct {
 	node string
+	// hdr is the frame header size of the node's dialect: headerSize
+	// fail-fast, tHeaderSize tolerant.
+	hdr int
 
 	framesSent *obs.CounterVec // {node, peer, kind}
 	bytesSent  *obs.CounterVec // {node, peer}
@@ -45,15 +48,17 @@ type metrics struct {
 	streamcommits *obs.CounterVec // {node, epoch0=primary|recovery}
 }
 
-// newMetrics binds the dist metric families for node id. Returns nil
-// (the disabled instrument set) when r is nil.
-func newMetrics(r *obs.Registry, id int) *metrics {
+// newMetrics binds the dist metric families for node id, whose frames
+// carry headers of hdr bytes. Returns nil (the disabled instrument set)
+// when r is nil.
+func newMetrics(r *obs.Registry, id, hdr int) *metrics {
 	if r == nil {
 		return nil
 	}
 	node := strconv.Itoa(id)
 	return &metrics{
 		node: node,
+		hdr:  hdr,
 		framesSent: r.CounterVec("dist_frames_sent_total",
 			"wire frames written, by destination peer and frame kind", "node", "peer", "kind"),
 		bytesSent: r.CounterVec("dist_bytes_sent_total",
@@ -102,10 +107,6 @@ func kindName(kind frameKind) string {
 		return "raw"
 	case framePartial:
 		return "partial"
-	case frameRawCol:
-		return "rawcol"
-	case framePartialCol:
-		return "partialcol"
 	case frameEOS:
 		return "eos"
 	case frameEOP:
@@ -127,17 +128,18 @@ func kindName(kind frameKind) string {
 	}
 }
 
-// frameBytes is the wire size of a frame with the given record count.
-func frameBytes(kind frameKind, count int) int64 {
+// frameBytes is the wire size of a frame with the given record count
+// under a header of hdr bytes (hello is always 4 bytes).
+func frameBytes(hdr int, kind frameKind, count int) int64 {
 	switch kind {
 	case frameHello:
 		return 4
-	case frameRaw, frameRawCol:
-		return 5 + int64(count)*tuple.RawSize
-	case framePartial, framePartialCol:
-		return 5 + int64(count)*tuple.PartialSize
+	case frameRaw:
+		return int64(hdr) + int64(count)*tuple.RawSize
+	case framePartial:
+		return int64(hdr) + int64(count)*tuple.PartialSize
 	default:
-		return 5
+		return int64(hdr)
 	}
 }
 
@@ -147,7 +149,7 @@ func (m *metrics) sent(peer int, kind frameKind, count int) {
 	}
 	p := strconv.Itoa(peer)
 	m.framesSent.With(m.node, p, kindName(kind)).Inc()
-	m.bytesSent.With(m.node, p).Add(frameBytes(kind, count))
+	m.bytesSent.With(m.node, p).Add(frameBytes(m.hdr, kind, count))
 }
 
 func (m *metrics) recv(peer int, kind frameKind, count int) {
@@ -156,40 +158,7 @@ func (m *metrics) recv(peer int, kind frameKind, count int) {
 	}
 	p := strconv.Itoa(peer)
 	m.framesRecv.With(m.node, p, kindName(kind)).Inc()
-	m.bytesRecv.With(m.node, p).Add(frameBytes(kind, count))
-}
-
-// tFrameBytes is the wire size of a tolerant-mode frame: the 12-byte
-// tagged header plus records (hello stays 4 bytes).
-func tFrameBytes(kind frameKind, count int) int64 {
-	switch kind {
-	case frameHello:
-		return 4
-	case frameRaw, frameRawCol:
-		return tHeaderSize + int64(count)*tuple.RawSize
-	case framePartial, framePartialCol:
-		return tHeaderSize + int64(count)*tuple.PartialSize
-	default:
-		return tHeaderSize
-	}
-}
-
-func (m *metrics) tsent(peer int, kind frameKind, count int) {
-	if m == nil {
-		return
-	}
-	p := strconv.Itoa(peer)
-	m.framesSent.With(m.node, p, kindName(kind)).Inc()
-	m.bytesSent.With(m.node, p).Add(tFrameBytes(kind, count))
-}
-
-func (m *metrics) trecv(peer int, kind frameKind, count int) {
-	if m == nil {
-		return
-	}
-	p := strconv.Itoa(peer)
-	m.framesRecv.With(m.node, p, kindName(kind)).Inc()
-	m.bytesRecv.With(m.node, p).Add(tFrameBytes(kind, count))
+	m.bytesRecv.With(m.node, p).Add(frameBytes(m.hdr, kind, count))
 }
 
 func (m *metrics) heartbeat() {

@@ -117,10 +117,7 @@ type tpeer struct {
 	id      int
 	timeout time.Duration
 	m       *metrics
-	// columnar selects the columnar data-frame layout for writes
-	// (Config.Columnar); reads accept both layouts regardless.
-	columnar bool
-	down     atomic.Bool
+	down    atomic.Bool
 
 	mu sync.Mutex
 	//aggvet:guard mu
@@ -174,7 +171,7 @@ func (p *tpeer) helloT(src int) error {
 	if err := p.w.Flush(); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, frameHello, 0)
+	p.m.sent(p.id, frameHello, 0)
 	return nil
 }
 
@@ -210,7 +207,7 @@ func (p *tpeer) controlLocked(kind frameKind, origin, epoch int, aux uint32) err
 	if err := writeTControl(p.w, kind, origin, epoch, aux); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, kind, 0)
+	p.m.sent(p.id, kind, 0)
 	return nil
 }
 
@@ -220,23 +217,11 @@ func (p *tpeer) writeRawT(origin, epoch int, ts []tuple.Tuple) error {
 	if p.down.Load() {
 		return errPeerDown
 	}
-	kind := frameRaw
 	var err error
-	if p.columnar {
-		kind = frameRawCol
-		p.buf, err = tRawColFrameInto(p.buf, origin, epoch, ts)
-	} else {
-		p.buf, err = tRawFrameInto(p.buf, origin, epoch, ts)
-	}
-	if err != nil {
+	if p.buf, err = rawFrameInto(p.buf, tHeaderSize, ts); err != nil {
 		return err
 	}
-	p.arm()
-	if _, err := p.w.Write(p.buf); err != nil {
-		return err
-	}
-	p.m.tsent(p.id, kind, len(ts))
-	return nil
+	return p.writeDataLocked(frameRaw, origin, epoch, len(ts))
 }
 
 func (p *tpeer) writePartialsT(origin, epoch int, ps []tuple.Partial) error {
@@ -245,22 +230,24 @@ func (p *tpeer) writePartialsT(origin, epoch int, ps []tuple.Partial) error {
 	if p.down.Load() {
 		return errPeerDown
 	}
-	kind := framePartial
 	var err error
-	if p.columnar {
-		kind = framePartialCol
-		p.buf, err = tPartialColFrameInto(p.buf, origin, epoch, ps)
-	} else {
-		p.buf, err = tPartialFrameInto(p.buf, origin, epoch, ps)
-	}
-	if err != nil {
+	if p.buf, err = partialFrameInto(p.buf, tHeaderSize, ps); err != nil {
 		return err
 	}
+	return p.writeDataLocked(framePartial, origin, epoch, len(ps))
+}
+
+// writeDataLocked tags the data frame of count records encoded in p.buf
+// and hands it to the writer.
+//
+//aggvet:holds p.mu
+func (p *tpeer) writeDataLocked(kind frameKind, origin, epoch, count int) error {
+	putTHeader(p.buf, kind, origin, epoch, 0, count)
 	p.arm()
 	if _, err := p.w.Write(p.buf); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, kind, len(ps))
+	p.m.sent(p.id, kind, count)
 	return nil
 }
 
@@ -352,7 +339,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		id:           cfg.ID,
 		n:            n,
 		part:         part,
-		m:            newMetrics(cfg.Obs, cfg.ID),
+		m:            newMetrics(cfg.Obs, cfg.ID, tHeaderSize),
 		tracker:      &connTracker{},
 		done:         make(chan struct{}),
 		ln:           ln,
@@ -373,7 +360,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	}
 	//aggvet:allow loopown -- construction: no goroutine exists yet; control() assumes ownership when it starts
 	for i := 0; i < n; i++ {
-		p := &tpeer{id: i, timeout: cfg.IOTimeout, m: nd.m, columnar: cfg.Columnar}
+		p := &tpeer{id: i, timeout: cfg.IOTimeout, m: nd.m}
 		p.down.Store(true) // up only once dialed
 		nd.peers[i] = p
 		nd.owner[i] = i
@@ -713,7 +700,7 @@ func (nd *tnode) readLoop(conn net.Conn) {
 		nd.post(tevent{typ: evReadErr, peer: -1, err: fmt.Errorf("dist: hello from out-of-range node %d", src)})
 		return
 	}
-	nd.m.trecv(src, frameHello, 0)
+	nd.m.recv(src, frameHello, 0)
 	if !nd.post(tevent{typ: evFrame, peer: src, f: tframe{frame: frame{kind: frameHello}}, conn: conn}) {
 		return
 	}
@@ -725,7 +712,7 @@ func (nd *tnode) readLoop(conn net.Conn) {
 			nd.post(tevent{typ: evReadErr, peer: src, err: err})
 			return
 		}
-		nd.m.trecv(src, f.kind, f.records())
+		nd.m.recv(src, f.kind, f.records())
 		if !nd.post(tevent{typ: evFrame, peer: src, f: f}) {
 			return
 		}
@@ -1055,14 +1042,14 @@ func (nd *tnode) onFrame(ev tevent) {
 		nd.finished = true
 	case frameEOP:
 		nd.fallback.Store(true)
-	case frameRaw, frameRawCol:
+	case frameRaw:
 		st := nd.stage(f.stream())
 		st.frames++
 		for _, t := range f.raw.ts {
 			st.groups.UpdateRaw(t)
 		}
 		rawHolders.Put(f.raw)
-	case framePartial, framePartialCol:
+	case framePartial:
 		st := nd.stage(f.stream())
 		st.frames++
 		for _, pt := range f.part.ps {

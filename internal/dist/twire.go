@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-
-	"parallelagg/internal/tuple"
 )
 
 // Tolerant-mode wire protocol (Config.Tolerate). The fail-fast v1 framing
@@ -21,7 +19,9 @@ import (
 // sender: a recovery worker ships partition d's re-execution as origin d).
 // epoch is the supervisor-assigned attempt number (0 = the primary scan).
 // aux is a kind-specific immediate: heartbeat progress, assign owner and
-// flags, done watermark. Record encodings are identical to v1.
+// flags, done watermark. Record encodings are identical to v1: both
+// dialects encode data frames with rawFrameInto/partialFrameInto and
+// decode them with readData; only the header differs.
 const (
 	// frameHeartbeat carries liveness + scan progress (aux = permille of
 	// the sender's partition scanned). origin = sender.
@@ -144,69 +144,6 @@ func writeTControl(w *bufio.Writer, kind frameKind, origin, epoch int, aux uint3
 	return w.Flush()
 }
 
-// tRawFrameInto encodes a tagged raw frame into buf (growing it if
-// needed), with the same record-count bound as v1.
-//
-//aggvet:noalloc
-func tRawFrameInto(buf []byte, origin, epoch int, ts []tuple.Tuple) ([]byte, error) {
-	if len(ts) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, tHeaderSize+len(ts)*tuple.RawSize)
-	putTHeader(buf, frameRaw, origin, epoch, 0, len(ts))
-	off := tHeaderSize
-	for _, t := range ts {
-		tuple.EncodeRaw(buf[off:off+tuple.RawSize], t)
-		off += tuple.RawSize
-	}
-	return buf, nil
-}
-
-// tPartialFrameInto encodes a tagged partial frame, same contract.
-//
-//aggvet:noalloc
-func tPartialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte, error) {
-	if len(ps) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, tHeaderSize+len(ps)*tuple.PartialSize)
-	putTHeader(buf, framePartial, origin, epoch, 0, len(ps))
-	off := tHeaderSize
-	for _, pt := range ps {
-		tuple.EncodePartial(buf[off:off+tuple.PartialSize], pt)
-		off += tuple.PartialSize
-	}
-	return buf, nil
-}
-
-// tRawColFrameInto encodes a tagged columnar raw frame into buf in a
-// single pass, with the same record-count bound as the row encoder.
-//
-//aggvet:noalloc
-func tRawColFrameInto(buf []byte, origin, epoch int, ts []tuple.Tuple) ([]byte, error) {
-	if len(ts) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, tHeaderSize+len(ts)*tuple.RawSize)
-	putTHeader(buf, frameRawCol, origin, epoch, 0, len(ts))
-	tuple.EncodeRawCol(buf[tHeaderSize:], ts)
-	return buf, nil
-}
-
-// tPartialColFrameInto encodes a tagged columnar partial frame, same
-// contract.
-//
-//aggvet:noalloc
-func tPartialColFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte, error) {
-	if len(ps) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, tHeaderSize+len(ps)*tuple.PartialSize)
-	putTHeader(buf, framePartialCol, origin, epoch, 0, len(ps))
-	tuple.EncodePartialCol(buf[tHeaderSize:], ps)
-	return buf, nil
-}
-
 // readTFrame decodes the next tolerant-mode frame with the same
 // hostile-input guards as v1: bounded counts, chunked allocation, and
 // data frames decoded into pooled holders.
@@ -231,7 +168,7 @@ func readTFrame(r *bufio.Reader) (tframe, error) {
 			return tframe{}, fmt.Errorf("dist: control frame %d with count %d", f.kind, count)
 		}
 		return f, nil
-	case frameRaw, framePartial, frameRawCol, framePartialCol:
+	case frameRaw, framePartial:
 		var err error
 		if f.frame, err = readData(r, f.kind, count); err != nil {
 			return tframe{}, err

@@ -17,7 +17,7 @@ func readBack(t *testing.T, buf []byte) (tframe, error) {
 
 func TestTolerantRawFrameRoundTrip(t *testing.T) {
 	ts := []tuple.Tuple{{Key: 1, Val: 10}, {Key: 77, Val: -3}, {Key: 1 << 20, Val: 0}}
-	buf, err := tRawFrameInto(nil, 3, 2, ts)
+	buf, err := tRawFrame(3, 2, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTolerantPartialFrameRoundTrip(t *testing.T) {
 		{Key: 5, State: tuple.NewState(42)},
 		{Key: 9, State: tuple.NewState(-1)},
 	}
-	buf, err := tPartialFrameInto(nil, 1, 7, ps)
+	buf, err := tPartialFrame(1, 7, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestTolerantFrameRejectsHostileInput(t *testing.T) {
 	// A frame bigger than the record bound must be refused at encode time
 	// too, not just decode.
 	big := make([]tuple.Tuple, maxFrameRecords+1)
-	if _, err := tRawFrameInto(nil, 0, 0, big); err == nil {
+	if _, err := tRawFrame(0, 0, big); err == nil {
 		t.Error("oversized raw frame encoded")
 	}
 	bigP := make([]tuple.Partial, maxFrameRecords+1)
-	if _, err := tPartialFrameInto(nil, 0, 0, bigP); err == nil {
+	if _, err := tPartialFrame(0, 0, bigP); err == nil {
 		t.Error("oversized partial frame encoded")
 	}
 }

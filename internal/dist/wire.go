@@ -38,16 +38,10 @@ const (
 	// frameEOP carries Adaptive Repartitioning's end-of-phase broadcast.
 	frameEOP frameKind = 4
 
-	// frameRawCol and framePartialCol are the columnar variants of the
-	// data frames: the same records and the same per-record widths, laid
-	// out column-major (all keys contiguous, then each value column; see
-	// tuple.EncodeRawCol/EncodePartialCol). Both dialects share them
-	// (kinds 5–10 are the tolerant dialect's control frames, twire.go).
-	// Encoding is opt-in per cluster (Config.Columnar); every decoder
-	// accepts both layouts unconditionally, so the flag can roll out one
-	// fleet at a time without a protocol epoch.
-	frameRawCol     frameKind = 11
-	framePartialCol frameKind = 12
+	// Kinds 5–10 are the tolerant dialect's control frames (twire.go).
+	// Kinds 11 and 12 are retired: they were a columnar layout of the raw
+	// and partial frames. They stay reserved, and both readers reject them
+	// as unknown kinds.
 )
 
 // maxFrameRecords bounds a frame so a corrupt length cannot allocate
@@ -66,32 +60,6 @@ const maxFrameRecords = 1 << 20
 // back to its pool no larger than that.
 const allocChunk = 4096
 
-// colBodyCap caps the upfront body-buffer allocation while decoding a
-// columnar frame — the same forged-length defense as allocChunk, in
-// bytes: a columnar body cannot be decoded record-at-a-time (the value
-// columns trail all the keys), so the decoder buffers the body, growing
-// it only as bytes actually arrive in colReadChunk-sized reads.
-const (
-	colBodyCap   = 64 << 10
-	colReadChunk = 4096
-)
-
-// readColBody reads a columnar frame body of `need` bytes, growing the
-// buffer chunk-by-chunk so a forged count costs at most colBodyCap
-// before the short read or the connection's deadline kills it.
-func readColBody(r *bufio.Reader, need int) ([]byte, error) {
-	body := make([]byte, 0, min(need, colBodyCap))
-	var chunk [colReadChunk]byte
-	for len(body) < need {
-		n := min(need-len(body), colReadChunk)
-		if _, err := io.ReadFull(r, chunk[:n]); err != nil {
-			return nil, err
-		}
-		body = append(body, chunk[:n]...)
-	}
-	return body, nil
-}
-
 // writeHello sends the connection's source node id.
 func writeHello(w io.Writer, src int) error {
 	var b [4]byte
@@ -109,10 +77,17 @@ func readHello(r io.Reader) (int, error) {
 	return int(binary.LittleEndian.Uint32(b[:])), nil
 }
 
-func writeHeader(w io.Writer, kind frameKind, count int) error {
-	var b [5]byte
+// headerSize is the size of a fail-fast frame header: kind and count.
+const headerSize = 5
+
+func putHeader(b []byte, kind frameKind, count int) {
 	b[0] = byte(kind)
-	binary.LittleEndian.PutUint32(b[1:], uint32(count))
+	binary.LittleEndian.PutUint32(b[1:headerSize], uint32(count))
+}
+
+func writeHeader(w io.Writer, kind frameKind, count int) error {
+	var b [headerSize]byte
+	putHeader(b[:], kind, count)
 	_, err := w.Write(b[:])
 	return err
 }
@@ -127,19 +102,18 @@ func frameBuf(buf []byte, need int) []byte {
 	return buf[:need]
 }
 
-// rawFrameInto encodes a whole raw frame (header + records) into buf,
-// growing it if needed, and returns the encoded frame. It refuses a
-// batch larger than maxFrameRecords.
+// rawFrameInto encodes a raw frame's records into buf after a header of
+// hdr bytes, growing buf if needed, and returns the frame. The caller
+// fills in the header: putHeader in the fail-fast dialect, putTHeader in
+// the tolerant one. It refuses a batch larger than maxFrameRecords.
 //
 //aggvet:noalloc
-func rawFrameInto(buf []byte, ts []tuple.Tuple) ([]byte, error) {
+func rawFrameInto(buf []byte, hdr int, ts []tuple.Tuple) ([]byte, error) {
 	if len(ts) > maxFrameRecords {
 		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
 	}
-	buf = frameBuf(buf, 5+len(ts)*tuple.RawSize)
-	buf[0] = byte(frameRaw)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ts)))
-	off := 5
+	buf = frameBuf(buf, hdr+len(ts)*tuple.RawSize)
+	off := hdr
 	for _, t := range ts {
 		tuple.EncodeRaw(buf[off:off+tuple.RawSize], t)
 		off += tuple.RawSize
@@ -147,74 +121,21 @@ func rawFrameInto(buf []byte, ts []tuple.Tuple) ([]byte, error) {
 	return buf, nil
 }
 
-// partialFrameInto encodes a whole partial frame into buf, with the same
-// contract as rawFrameInto.
+// partialFrameInto encodes a partial frame's records after a header of
+// hdr bytes, with the same contract as rawFrameInto.
 //
 //aggvet:noalloc
-func partialFrameInto(buf []byte, ps []tuple.Partial) ([]byte, error) {
+func partialFrameInto(buf []byte, hdr int, ps []tuple.Partial) ([]byte, error) {
 	if len(ps) > maxFrameRecords {
 		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
 	}
-	buf = frameBuf(buf, 5+len(ps)*tuple.PartialSize)
-	buf[0] = byte(framePartial)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ps)))
-	off := 5
+	buf = frameBuf(buf, hdr+len(ps)*tuple.PartialSize)
+	off := hdr
 	for _, pt := range ps {
 		tuple.EncodePartial(buf[off:off+tuple.PartialSize], pt)
 		off += tuple.PartialSize
 	}
 	return buf, nil
-}
-
-// rawColFrameInto encodes a whole columnar raw frame (header + key
-// column + value column) into buf in a single pass, with the same
-// record-count bound as the row encoder.
-//
-//aggvet:noalloc
-func rawColFrameInto(buf []byte, ts []tuple.Tuple) ([]byte, error) {
-	if len(ts) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, 5+len(ts)*tuple.RawSize)
-	buf[0] = byte(frameRawCol)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ts)))
-	tuple.EncodeRawCol(buf[5:], ts)
-	return buf, nil
-}
-
-// partialColFrameInto encodes a whole columnar partial frame into buf
-// in a single pass, with the same contract as rawColFrameInto.
-//
-//aggvet:noalloc
-func partialColFrameInto(buf []byte, ps []tuple.Partial) ([]byte, error) {
-	if len(ps) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, 5+len(ps)*tuple.PartialSize)
-	buf[0] = byte(framePartialCol)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ps)))
-	tuple.EncodePartialCol(buf[5:], ps)
-	return buf, nil
-}
-
-// writeRawFrame sends a batch of raw tuples as one Write call.
-func writeRawFrame(w io.Writer, ts []tuple.Tuple) error {
-	buf, err := rawFrameInto(nil, ts)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// writePartialFrame sends a batch of partial aggregates as one Write call.
-func writePartialFrame(w io.Writer, ps []tuple.Partial) error {
-	buf, err := partialFrameInto(nil, ps)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 // writeEOSFrame signals end of stream and flushes.
@@ -245,10 +166,6 @@ type peer struct {
 	w       *bufio.Writer
 	timeout time.Duration
 	m       *metrics // nil when metrics are disabled
-	// columnar selects the columnar data-frame layout for this
-	// connection's writes (Config.Columnar); reads accept both layouts
-	// regardless.
-	columnar bool
 	// buf is the frame-encoding scratch buffer: each data frame is
 	// encoded here in full and handed to the writer as one Write, so the
 	// steady state is one buffer allocation per connection, not one
@@ -285,33 +202,26 @@ func (p *peer) writeHello(src int) error {
 }
 
 func (p *peer) writeRaw(ts []tuple.Tuple) error {
-	p.arm()
 	var err error
-	if p.columnar {
-		if p.buf, err = rawColFrameInto(p.buf, ts); err == nil {
-			_, err = p.w.Write(p.buf)
-		}
-		return p.count(frameRawCol, len(ts), err)
-	}
-	if p.buf, err = rawFrameInto(p.buf, ts); err == nil {
-		_, err = p.w.Write(p.buf)
-	}
-	return p.count(frameRaw, len(ts), err)
+	p.buf, err = rawFrameInto(p.buf, headerSize, ts)
+	return p.writeData(frameRaw, len(ts), err)
 }
 
 func (p *peer) writePartials(ps []tuple.Partial) error {
-	p.arm()
 	var err error
-	if p.columnar {
-		if p.buf, err = partialColFrameInto(p.buf, ps); err == nil {
-			_, err = p.w.Write(p.buf)
-		}
-		return p.count(framePartialCol, len(ps), err)
-	}
-	if p.buf, err = partialFrameInto(p.buf, ps); err == nil {
+	p.buf, err = partialFrameInto(p.buf, headerSize, ps)
+	return p.writeData(framePartial, len(ps), err)
+}
+
+// writeData heads the data frame of count records encoded in p.buf,
+// unless encoding it failed with err, and hands it to the writer.
+func (p *peer) writeData(kind frameKind, count int, err error) error {
+	if err == nil {
+		putHeader(p.buf, kind, count)
+		p.arm()
 		_, err = p.w.Write(p.buf)
 	}
-	return p.count(framePartial, len(ps), err)
+	return p.count(kind, count, err)
 }
 
 func (p *peer) writeEOS() error {
@@ -325,7 +235,7 @@ func (p *peer) writeEOP() error {
 }
 
 // frame is one decoded wire frame. A data frame's records live in a
-// pooled holder, raw for the raw kinds and part for the partial kinds;
+// pooled holder, raw for a raw frame and part for a partial frame;
 // the merge side Puts that holder back to its pool once it has folded
 // the records. Control frames carry neither.
 type frame struct {
@@ -361,40 +271,19 @@ var (
 	partHolders = sync.Pool{New: func() any { return new(partHolder) }}
 )
 
-// decode replaces h's records with the count raw records of a frame of
-// the given kind read from r.
-func (h *rawHolder) decode(r *bufio.Reader, kind frameKind, count int) error {
-	h.ts = slices.Grow(h.ts[:0], min(count, allocChunk))
-	if kind == frameRawCol {
-		// The whole body is buffered before decoding (the value column
-		// trails every key); count*RawSize real bytes have arrived by
-		// the time the records are appended.
-		body, err := readColBody(r, count*tuple.RawSize)
-		if err != nil {
-			return err
-		}
-		h.ts = tuple.DecodeRawCol(h.ts, body, count)
-		return nil
-	}
+// decode replaces h's records with the count raw records of a frame read
+// from r.
+func (h *rawHolder) decode(r *bufio.Reader, count int) error {
 	var err error
-	h.ts, err = readRecords(r, h.ts, count, tuple.RawSize, tuple.DecodeRaw)
+	h.ts, err = readRecords(r, slices.Grow(h.ts[:0], min(count, allocChunk)), count, tuple.RawSize, tuple.DecodeRaw)
 	return err
 }
 
 // decode replaces h's records with the count partial records of a frame
-// of the given kind read from r.
-func (h *partHolder) decode(r *bufio.Reader, kind frameKind, count int) error {
-	h.ps = slices.Grow(h.ps[:0], min(count, allocChunk))
-	if kind == framePartialCol {
-		body, err := readColBody(r, count*tuple.PartialSize)
-		if err != nil {
-			return err
-		}
-		h.ps = tuple.DecodePartialCol(h.ps, body, count)
-		return nil
-	}
+// read from r.
+func (h *partHolder) decode(r *bufio.Reader, count int) error {
 	var err error
-	h.ps, err = readRecords(r, h.ps, count, tuple.PartialSize, tuple.DecodePartial)
+	h.ps, err = readRecords(r, slices.Grow(h.ps[:0], min(count, allocChunk)), count, tuple.PartialSize, tuple.DecodePartial)
 	return err
 }
 
@@ -433,16 +322,16 @@ func readHeader(r *bufio.Reader, hdr []byte) error {
 // into a holder from its pool. On a decode error the holder goes straight
 // back to the pool.
 func readData(r *bufio.Reader, kind frameKind, count int) (frame, error) {
-	if kind == frameRaw || kind == frameRawCol {
+	if kind == frameRaw {
 		h := rawHolders.Get().(*rawHolder)
-		if err := h.decode(r, kind, count); err != nil {
+		if err := h.decode(r, count); err != nil {
 			rawHolders.Put(h)
 			return frame{}, err
 		}
 		return frame{kind: kind, raw: h}, nil
 	}
 	h := partHolders.Get().(*partHolder)
-	if err := h.decode(r, kind, count); err != nil {
+	if err := h.decode(r, count); err != nil {
 		partHolders.Put(h)
 		return frame{}, err
 	}
@@ -451,7 +340,7 @@ func readData(r *bufio.Reader, kind frameKind, count int) (frame, error) {
 
 // readFrame decodes the next frame.
 func readFrame(r *bufio.Reader) (frame, error) {
-	var hdr [5]byte
+	var hdr [headerSize]byte
 	if err := readHeader(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
@@ -466,7 +355,7 @@ func readFrame(r *bufio.Reader) (frame, error) {
 			return frame{}, fmt.Errorf("dist: control frame %d with count %d", kind, count)
 		}
 		return frame{kind: kind}, nil
-	case frameRaw, framePartial, frameRawCol, framePartialCol:
+	case frameRaw, framePartial:
 		return readData(r, kind, count)
 	default:
 		return frame{}, fmt.Errorf("dist: unknown frame kind %d", kind)

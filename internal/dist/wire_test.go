@@ -3,10 +3,13 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +34,183 @@ func (f frame) partials() []tuple.Partial {
 	return f.part.ps
 }
 
+// writeRawFrame sends a batch of raw tuples as one fail-fast frame in
+// one Write call.
+func writeRawFrame(w io.Writer, ts []tuple.Tuple) error {
+	buf, err := rawFrameInto(nil, headerSize, ts)
+	if err != nil {
+		return err
+	}
+	putHeader(buf, frameRaw, len(ts))
+	_, err = w.Write(buf)
+	return err
+}
+
+// writePartialFrame sends a batch of partial aggregates as one fail-fast
+// frame in one Write call.
+func writePartialFrame(w io.Writer, ps []tuple.Partial) error {
+	buf, err := partialFrameInto(nil, headerSize, ps)
+	if err != nil {
+		return err
+	}
+	putHeader(buf, framePartial, len(ps))
+	_, err = w.Write(buf)
+	return err
+}
+
+// tRawFrame and tPartialFrame return the bytes a tolerant peer's writers
+// put on the wire for one data frame.
+func tRawFrame(origin, epoch int, ts []tuple.Tuple) ([]byte, error) {
+	return tpeerBytes(func(p *tpeer) error { return p.writeRawT(origin, epoch, ts) })
+}
+
+func tPartialFrame(origin, epoch int, ps []tuple.Partial) ([]byte, error) {
+	return tpeerBytes(func(p *tpeer) error { return p.writePartialsT(origin, epoch, ps) })
+}
+
+func tpeerBytes(write func(*tpeer) error) ([]byte, error) {
+	var out bytes.Buffer
+	p := &tpeer{w: bufio.NewWriter(&out)}
+	if err := write(p); err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	err := p.w.Flush()
+	return out.Bytes(), err
+}
+
+// sendBatches returns a raw batch and a partial batch of n records each,
+// all with distinct keys.
+func sendBatches(n int) ([]tuple.Tuple, []tuple.Partial) {
+	ts := make([]tuple.Tuple, n)
+	ps := make([]tuple.Partial, n)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Key: tuple.Key(i * 7919), Val: int64(i)}
+		ps[i] = tuple.Partial{Key: tuple.Key(1<<40 + i*7919), State: tuple.NewState(int64(-i))}
+	}
+	return ts, ps
+}
+
+// TestAllocsPinSendFrames pins the send path of both dialects: once a
+// peer's frame buffer is warm, writing a raw frame and a partial frame of
+// Batch records through its buffered writer allocates nothing. It is the
+// runtime check behind lint's -require-noalloc entries for rawFrameInto
+// and partialFrameInto. CI runs it with the other AllocsPin tests.
+func TestAllocsPinSendFrames(t *testing.T) {
+	ts, ps := sendBatches(1024)
+	p := &peer{id: 1, w: bufio.NewWriterSize(io.Discard, 1<<16)}
+	tp := &tpeer{id: 1, w: bufio.NewWriterSize(io.Discard, 1<<16)}
+	dialects := []struct {
+		name string
+		send func() error
+	}{
+		{"fail-fast", func() error {
+			if err := p.writeRaw(ts); err != nil {
+				return err
+			}
+			return p.writePartials(ps)
+		}},
+		{"tolerant", func() error {
+			if err := tp.writeRawT(1, 0, ts); err != nil {
+				return err
+			}
+			return tp.writePartialsT(1, 0, ps)
+		}},
+	}
+	for _, d := range dialects {
+		var err error
+		send := func() {
+			if e := d.send(); e != nil {
+				err = e
+			}
+		}
+		send() // warm-up: sizes the frame buffer
+		if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+			t.Errorf("%s: steady-state frame writes allocate %.1f per op, want 0", d.name, allocs)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+	}
+}
+
+// The data frames of both dialects, byte for byte: one raw frame of two
+// tuples and one partial frame of one record each. The fail-fast header
+// is kind and count; the tolerant header adds origin, epoch and aux.
+func TestDataFrameGoldenBytes(t *testing.T) {
+	const (
+		rawRecords = "0100000000000000" + "feffffffffffffff" + // key 1, val -2
+			"0000000000010000" + "0300000000000000" // key 1<<40, val 3
+		partialRecord = "0900000000000000" + // key 9
+			"0200000000000000" + "0400000000000000" + "3a00000000000000" + // count 2, sum 4, sumsq 58
+			"fdffffffffffffff" + "0700000000000000" // min -3, max 7
+	)
+	ts := []tuple.Tuple{{Key: 1, Val: -2}, {Key: 1 << 40, Val: 3}}
+	st := tuple.NewState(7)
+	st.Update(-3)
+	ps := []tuple.Partial{{Key: 9, State: st}}
+
+	var out bytes.Buffer
+	p := &peer{w: bufio.NewWriter(&out)}
+	peerBytes := func(write func() error) ([]byte, error) {
+		out.Reset()
+		if err := write(); err != nil {
+			return nil, err
+		}
+		err := p.w.Flush()
+		return out.Bytes(), err
+	}
+	cases := []struct {
+		name  string
+		frame func() ([]byte, error)
+		want  string
+	}{
+		{"fail-fast raw", func() ([]byte, error) {
+			return peerBytes(func() error { return p.writeRaw(ts) })
+		}, "01" + "02000000" + rawRecords},
+		{"fail-fast partial", func() ([]byte, error) {
+			return peerBytes(func() error { return p.writePartials(ps) })
+		}, "02" + "01000000" + partialRecord},
+		{"tolerant raw", func() ([]byte, error) {
+			return tRawFrame(3, 2, ts)
+		}, "01" + "03" + "0200" + "00000000" + "02000000" + rawRecords},
+		{"tolerant partial", func() ([]byte, error) {
+			return tPartialFrame(1, 0x0102, ps)
+		}, "02" + "01" + "0201" + "00000000" + "01000000" + partialRecord},
+	}
+	for _, tc := range cases {
+		got, err := tc.frame()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if h := hex.EncodeToString(got); h != tc.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, h, tc.want)
+		}
+	}
+}
+
+// Kinds 11 and 12, the retired columnar layout, are reserved: both
+// readers refuse them as unknown kinds and hand back no holder, even when
+// a whole record follows the header.
+func TestReadersRejectRetiredKinds(t *testing.T) {
+	record := make([]byte, tuple.PartialSize)
+	for _, kind := range []frameKind{11, 12} {
+		b := make([]byte, headerSize, headerSize+len(record))
+		putHeader(b, kind, 1)
+		f, err := readFrame(bufio.NewReader(bytes.NewReader(append(b, record...))))
+		if err == nil || !strings.Contains(err.Error(), "unknown frame kind") || f.raw != nil || f.part != nil {
+			t.Errorf("readFrame of kind %d = %+v, %v; want an unknown-kind error and no holder", kind, f, err)
+		}
+		tb := make([]byte, tHeaderSize, tHeaderSize+len(record))
+		putTHeader(tb, kind, 0, 0, 0, 1)
+		tf, err := readTFrame(bufio.NewReader(bytes.NewReader(append(tb, record...))))
+		if err == nil || !strings.Contains(err.Error(), "unknown frame kind") || tf.raw != nil || tf.part != nil {
+			t.Errorf("readTFrame of kind %d = %+v, %v; want an unknown-kind error and no holder", kind, tf, err)
+		}
+	}
+}
+
 // TestAllocsPinReceiveFold pins the receive path of both dialects: once
 // warm, decoding a raw frame and a partial frame of Batch records from a
 // buffered reader over encoded bytes, folding them into an unbounded
@@ -41,19 +221,14 @@ func TestAllocsPinReceiveFold(t *testing.T) {
 		t.Skip("sync.Pool drops a random share of Puts under -race")
 	}
 	const batch = 1024
-	ts := make([]tuple.Tuple, batch)
-	ps := make([]tuple.Partial, batch)
-	for i := range ts {
-		ts[i] = tuple.Tuple{Key: tuple.Key(i * 7919), Val: int64(i)}
-		ps[i] = tuple.Partial{Key: tuple.Key(1<<40 + i*7919), State: tuple.NewState(int64(-i))}
-	}
+	ts, ps := sendBatches(batch)
 	dialects := []struct {
 		name   string
 		stream []byte
 		read   func(*bufio.Reader) (frame, error)
 	}{
-		{"fail-fast", slices.Concat(mustFrame(rawFrameInto(nil, ts)), mustFrame(partialFrameInto(nil, ps))), readFrame},
-		{"tolerant", slices.Concat(mustFrame(tRawFrameInto(nil, 1, 0, ts)), mustFrame(tPartialFrameInto(nil, 1, 0, ps))),
+		{"fail-fast", slices.Concat(encodeRawFrame(ts), encodePartialFrame(ps)), readFrame},
+		{"tolerant", slices.Concat(mustFrame(tRawFrame(1, 0, ts)), mustFrame(tPartialFrame(1, 0, ps))),
 			func(r *bufio.Reader) (frame, error) {
 				f, err := readTFrame(r)
 				return f.frame, err

@@ -7,7 +7,8 @@
 # ever drops out of the pattern (a moved directory or a new go.mod would
 # silently shrink lint coverage otherwise). Exit status is non-zero when
 # any analyzer reports an unsuppressed diagnostic, with the summary
-# listing the count per analyzer.
+# listing the count per analyzer, and when a tracked Go file outside
+# testdata/ is not gofmt-clean.
 set -u
 
 GO="${GO:-go}"
@@ -74,8 +75,23 @@ fi
 # the annotated bodies; this step verifies the annotations exist.
 if ! "$AGGVET" -require-noalloc \
     internal/aggtable:Table.UpdateRaw,Table.MergePartial,Table.UpdateBatch,Table.MergeBatch,Table.AppendDrain,Shared.UpdateRaw,Shared.UpdateRawContended,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
-    internal/dist:rawFrameInto,partialFrameInto,tRawFrameInto,tPartialFrameInto,rawColFrameInto,partialColFrameInto,tRawColFrameInto,tPartialColFrameInto; then
+    internal/dist:rawFrameInto,partialFrameInto; then
     echo "lint: -require-noalloc gate failed — a pinned hot-path function lost its //aggvet:noalloc annotation" >&2
+    exit 1
+fi
+
+# Formatting gate: every tracked Go file outside testdata/ must be
+# gofmt-clean. The analyzer fixtures under testdata/ are exempt: they are
+# inputs to the analyzers' tests, not program code.
+GOFMT="$("$GO" env GOROOT)/bin/gofmt"
+if ! files=$(git ls-files -- '*.go' ':(exclude)*/testdata/*'); then
+    echo "lint: git ls-files failed — the gofmt gate needs a git checkout" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086 # tracked paths carry no spaces
+if ! unformatted=$("$GOFMT" -l $files) || [ -n "$unformatted" ]; then
+    echo "lint: gofmt -l lists files that need formatting:" >&2
+    printf '%s\n' "$unformatted" >&2
     exit 1
 fi
 echo "lint: clean"
